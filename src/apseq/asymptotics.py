@@ -146,49 +146,39 @@ def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdRes
                          "elementary families")
 
     if spec.family == ELEMENTARY:
-        target = 2 * spec.d * math.log(spec.p) + math.log1p(-spec.p**-spec.d)
+        target = log_count(spec, 2)
 
         def f(x: float) -> float:
             return target - log_gamma(x + 1.0)
 
         asym = _asymptotic_or_none(spec.p, spec.d)
-        if f(2.0) <= 0:
-            return ThresholdResult(2.0, (2, 2), str(spec), True, asym, abs(f(2.0)), mode)
-        hi = 4.0
-        while f(hi) > 0:
-            hi *= 2
-        value = _bisect(f, 2.0, hi)
-        value = _snap_to_integer(value, f, 2.0, hi)
-        residual = abs(f(value))
-        if residual > RESIDUAL_TOL:
-            raise InternalInvariantError(
-                f"residual {residual} above tolerance for {spec}"
-            )
-        return ThresholdResult(
-            value, _window(value), str(spec), False, asym, residual, mode
-        )
+    else:
+        hi = float(_k_max(spec))
+        if hi < 2.0:
+            raise ValueError(f"{spec} has no k >= 2")
 
-    hi = float(_k_max(spec))
-    if hi < 2.0:
-        raise ValueError(f"{spec} has no k >= 2")
+        def f(x: float) -> float:
+            return continued_log_count(spec, x, mode) - log_gamma(x + 1.0)
 
-    def f(x: float) -> float:
-        return continued_log_count(spec, x, mode) - log_gamma(x + 1.0)
-
-    d = spec.d if spec.family == INTERVAL else 1
-    asym = _asymptotic_or_none(spec.n, d)
+        d = spec.d if spec.family == INTERVAL else 1
+        asym = _asymptotic_or_none(spec.n, d)
 
     if f(2.0) <= 0:
         return ThresholdResult(2.0, (2, 2), str(spec), True, asym, abs(f(2.0)), mode)
-    f_hi = f(hi)
-    if f_hi >= 0:
-        if abs(f_hi) <= RESIDUAL_TOL:
-            return ThresholdResult(
-                hi, _window(hi), str(spec), False, asym, abs(f_hi), mode
+    if spec.family == ELEMENTARY:
+        hi = 4.0
+        while f(hi) > 0:
+            hi *= 2
+    else:
+        f_hi = f(hi)
+        if f_hi >= 0:
+            if abs(f_hi) <= RESIDUAL_TOL:
+                return ThresholdResult(
+                    hi, _window(hi), str(spec), False, asym, abs(f_hi), mode
+                )
+            raise InternalInvariantError(
+                f"no sign change on [2, {hi}] for {spec}: f({hi}) = {f_hi}"
             )
-        raise InternalInvariantError(
-            f"no sign change on [2, {hi}] for {spec}: f({hi}) = {f_hi}"
-        )
     value = _bisect(f, 2.0, hi)
     value = _snap_to_integer(value, f, 2.0, hi)
     residual = abs(f(value))

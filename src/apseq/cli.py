@@ -14,6 +14,7 @@ import importlib.resources
 import io
 import json
 import os
+import pathlib
 import sys
 
 from . import __version__, asymptotics, counting, enumeration, groups, las, montecarlo
@@ -26,6 +27,11 @@ GOLDEN_FILES = {
     "cyclic": "cyclic_distribution.csv",
 }
 
+# Upper bound of --parallel.  More workers per CPU only add processes; up to
+# four per CPU still lets a small host check that the split of the work into
+# chunks leaves the output unchanged.
+MAX_PARALLEL = 4 * (os.cpu_count() or 1)
+
 
 class _UsageError(Exception):
     pass
@@ -34,6 +40,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _parallel_workers(text: str) -> int:
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_PARALLEL:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {MAX_PARALLEL}], got {text!r}"
+        )
+    return int(text)
 
 
 def _envelope(command: str, params: dict, result, seed=None) -> dict:
@@ -140,6 +154,15 @@ def _cmd_las(args) -> int:
     return 0
 
 
+def _distribution(spec: AdditiveSetSpec, args) -> enumeration.DistributionTable:
+    return enumeration.distribution(
+        spec,
+        symmetry_reduction=args.symmetry,
+        parallel=args.parallel,
+        cache_dir=args.cache or os.environ.get("APSEQ_CACHE_DIR"),
+    )
+
+
 def _distribution_payload(spec: AdditiveSetSpec, table) -> dict:
     result = {
         "set": str(spec),
@@ -160,16 +183,13 @@ def _distribution_payload(spec: AdditiveSetSpec, table) -> dict:
 
 def _cmd_enumerate(args) -> int:
     spec = parse_set_spec(args.set)
-    table = enumeration.distribution(
-        spec,
-        symmetry_reduction=args.symmetry,
-        parallel=args.parallel,
-        cache_dir=args.cache or os.environ.get("APSEQ_CACHE_DIR"),
-    )
+    table = _distribution(spec, args)
     result = _distribution_payload(spec, table)
     params = {"set": str(spec), "symmetry": bool(args.symmetry)}
     if args.csv:
-        _write_csv_rows(args.csv, [(spec.cardinality, table.row())])
+        card = spec.cardinality
+        csv_text = _distribution_csv([(card, table.row())], card)
+        pathlib.Path(args.csv).write_text(csv_text, encoding="utf-8", newline="")
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.json:
         _emit_json(_envelope("enumerate", params, result))
@@ -264,25 +284,10 @@ def _cmd_nonabelian(args) -> int:
     left = nonabelian.left_ap_count(n, args.k)
     right = nonabelian.right_ap_count(n, args.k)
     # spot-check of the inversion bijection on the enumerated progressions
-    elems = nonabelian.dihedral_elements(n)
-    bijection_ok = True
-    for r in elems:
-        if r.is_identity():
-            continue
-        for a in elems:
-            terms = [a]
-            cur = a
-            ok = True
-            for _ in range(args.k - 1):
-                cur = r * cur
-                if cur in terms:
-                    ok = False
-                    break
-                terms.append(cur)
-            if not ok:
-                continue
-            if not nonabelian.is_right_ap(nonabelian.invert_sequence(terms)):
-                bijection_ok = False
+    bijection_ok = all(
+        nonabelian.is_right_ap(nonabelian.invert_sequence(terms))
+        for terms in nonabelian.dihedral_progressions(n, args.k, left=True)
+    )
     result = {
         "group": f"dihedral:{n}",
         "k": args.k,
@@ -318,14 +323,14 @@ def _golden_rows(family: str) -> dict[int, list[int]]:
     return rows
 
 
-def _write_csv_rows(path: str, rows: list[tuple[int, list[int]]]) -> None:
-    max_k = max(n for n, _ in rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"k{k}" for k in range(1, max_k + 1)])
-        for n, counts in rows:
-            padded = counts + [0] * (max_k - len(counts))
-            writer.writerow([n] + padded[:max_k])
+def _distribution_csv(rows: list[tuple[int, list[int]]], max_k: int) -> str:
+    """Rows (n, counts for k = 1, 2, ...) as CSV with columns k1..k{max_k}."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n"] + [f"k{k}" for k in range(1, max_k + 1)])
+    for n, counts in rows:
+        writer.writerow([n] + (counts + [0] * (max_k - len(counts)))[:max_k])
+    return buf.getvalue()
 
 
 def _cmd_tables(args) -> int:
@@ -335,13 +340,7 @@ def _cmd_tables(args) -> int:
     mismatches = []
     for n in range(1, args.max_n + 1):
         spec = groups.interval_box(n) if family == "interval" else groups.cyclic(n)
-        table = enumeration.distribution(
-            spec,
-            symmetry_reduction=args.symmetry,
-            parallel=args.parallel,
-            cache_dir=args.cache or os.environ.get("APSEQ_CACHE_DIR"),
-        )
-        row = table.row()
+        row = _distribution(spec, args).row()
         rows.append((n, row))
         want = golden.get(n)
         if want is None:
@@ -350,16 +349,10 @@ def _cmd_tables(args) -> int:
         padded = row + [0] * (len(want) - len(row))
         if padded[: len(want)] != want:
             mismatches.append((n, f"got {row}, want nonzero prefix of {want}"))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    max_k = args.max_n
-    writer.writerow(["n"] + [f"k{k}" for k in range(1, max_k + 1)])
-    for n, counts in rows:
-        writer.writerow([n] + (counts + [0] * (max_k - len(counts)))[:max_k])
-    sys.stdout.write(buf.getvalue())
+    text = _distribution_csv(rows, args.max_n)
+    sys.stdout.write(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        pathlib.Path(args.csv).write_text(text, encoding="utf-8", newline="")
     for n, msg in mismatches:
         print(f"row {n}: {msg}", file=sys.stderr)
     if mismatches:
@@ -391,7 +384,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="exact distribution over all orderings")
     p.add_argument("--set", required=True)
     p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--parallel", type=_parallel_workers)
     p.add_argument("--csv")
     p.add_argument("--cache")
     p.add_argument("--json", action="store_true")
@@ -411,7 +404,7 @@ def build_parser() -> _Parser:
     group.add_argument("--k", type=int)
     group.add_argument("--coverage", action="store_true")
     group.add_argument("--histogram", action="store_true")
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--parallel", type=_parallel_workers)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", dest="csv_out")
     p.set_defaults(func=_cmd_simulate)
@@ -426,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=["interval", "cyclic"], required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--parallel", type=int)
+    p.add_argument("--parallel", type=_parallel_workers)
     p.add_argument("--csv")
     p.add_argument("--cache")
     p.set_defaults(func=_cmd_tables)
@@ -439,10 +432,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
@@ -451,7 +441,6 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ members of the set with step r != 0.  It is determined by the pair (a, r).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -31,10 +32,6 @@ DEFAULT_GROUP_BRUTE_CAP = 10**4
 DEFAULT_INTERVAL_BRUTE_N = 50
 DEFAULT_INTERVAL_BRUTE_D = 3
 DEFAULT_ENUM_CAP = 10**7
-
-# Element-order iteration is exact but linear in |Z|; above this size the
-# divisor-counting route is used instead.
-ORDER_ITERATION_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -179,11 +176,7 @@ def count_abelian_exact(spec: AdditiveSetSpec, k: int) -> CountResult:
     if k < 2:
         raise ValueError("k must be >= 2")
     n = spec.cardinality
-    if n <= ORDER_ITERATION_CAP:
-        steps = sum(1 for x in groups.elements(spec) if groups.element_order(spec, x) >= k)
-    else:
-        steps = n - _count_orders_below(spec, k)
-    return _exact(n * steps)
+    return _exact(n * (n - _count_orders_below(spec, k)))
 
 
 def bounds_abelian(spec: AdditiveSetSpec, k: int) -> CountResult:
@@ -245,16 +238,7 @@ def _interval_steps(spec: AdditiveSetSpec):
     """All candidate lattice steps with coordinates in [-(n-1), n-1], minus 0."""
     span = range(-(spec.n - 1), spec.n)
     zero = groups.identity(spec)
-
-    def rec(prefix):
-        if len(prefix) == spec.d:
-            if prefix != zero:
-                yield prefix
-            return
-        for c in span:
-            yield from rec(prefix + (c,))
-
-    yield from rec(())
+    return (r for r in itertools.product(span, repeat=spec.d) if r != zero)
 
 
 def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
@@ -274,6 +258,18 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
         contrib = [((v + rc) % m) * s for v in range(m)]
         table = [base + off for base in table for off in contrib]
     return table
+
+
+def _profile_from_reach(reach: list[int], k_max: int, card: int) -> list[int]:
+    """Entry [k] is the number of (base, step) pairs reaching at least k
+    terms, for 2 <= k <= k_max; entry [1] counts the singletons."""
+    counts = [0] * (k_max + 1)
+    running = 0
+    for k in range(k_max, 1, -1):
+        running += reach[k]
+        counts[k] = running
+    counts[1] = card
+    return counts
 
 
 def brute_force_profile(
@@ -325,13 +321,7 @@ def brute_force_profile(
                     visited[cur] = stamp
                     length += 1
                 reach[length] += 1
-    counts = [0] * (k_max + 1)
-    running = 0
-    for k in range(k_max, 1, -1):
-        running += reach[k]
-        counts[k] = running
-    counts[1] = card
-    return counts
+    return _profile_from_reach(reach, k_max, card)
 
 
 def cycle_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
@@ -366,13 +356,7 @@ def cycle_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
                 cur = succ[cur]
                 length += 1
             reach[min(length, k_max)] += length
-    counts = [0] * (k_max + 1)
-    running = 0
-    for k in range(k_max, 1, -1):
-        running += reach[k]
-        counts[k] = running
-    counts[1] = card
-    return counts
+    return _profile_from_reach(reach, k_max, card)
 
 
 def brute_force_count(

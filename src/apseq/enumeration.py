@@ -5,6 +5,7 @@ of orderings of Z/2^m Z with no 3-term progression subsequence.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -12,6 +13,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 
 from . import __version__, groups, las
@@ -39,20 +41,10 @@ class DistributionTable:
 
 
 def _tally_serial(spec: AdditiveSetSpec, perms) -> list[int]:
-    card = spec.cardinality
-    engine = las.length_engine(spec)
-    counts = [0] * (card + 1)
-    if spec.is_group:
-        pos = [0] * card
-        length_of = engine.length_of_positions
-        for perm in perms:
-            for where, idx in enumerate(perm):
-                pos[idx] = where
-            counts[length_of(pos)] += 1
-    else:
-        length_of = engine.length_of_indices
-        for perm in perms:
-            counts[length_of(perm)] += 1
+    length_of = las.length_engine(spec).length_of_indices
+    counts = [0] * (spec.cardinality + 1)
+    for perm in perms:
+        counts[length_of(perm)] += 1
     return counts
 
 
@@ -81,21 +73,20 @@ def _reflection_canonical(perm, n: int) -> bool:
 
 def _tally_interval_reduced(spec: AdditiveSetSpec) -> list[int]:
     n = spec.cardinality
-    engine = las.length_engine(spec)
-    counts = [0] * (n + 1)
-    length_of = engine.length_of_indices
-    for perm in itertools.permutations(range(n)):
-        if not _reflection_canonical(perm, n):
-            continue
-        counts[length_of(perm)] += 1
-    return [2 * c for c in counts]
+    perms = (
+        perm
+        for perm in itertools.permutations(range(n))
+        if _reflection_canonical(perm, n)
+    )
+    return [2 * c for c in _tally_serial(spec, perms)]
 
 
-def _unit_canonical(perm, unit_rows) -> bool:
-    # perm starts with 0; accept iff perm is lexicographically minimal among
-    # its images under multiplication by units.
+def _unit_canonical(tail, unit_rows) -> bool:
+    # tail follows a leading 0, which every unit fixes; accept iff (0,) + tail
+    # is lexicographically minimal among its images under multiplication by
+    # units.
     for row in unit_rows:
-        for v in perm:
+        for v in tail:
             image = row[v]
             if image < v:
                 return False
@@ -106,21 +97,15 @@ def _unit_canonical(perm, unit_rows) -> bool:
 
 def _tally_cyclic_reduced(spec: AdditiveSetSpec) -> list[int]:
     n = spec.cardinality
-    engine = las.length_engine(spec)
-    counts = [0] * (n + 1)
     units = [u for u in range(2, n) if math.gcd(u, n) == 1]
     unit_rows = [[(u * v) % n for v in range(n)] for u in units]
+    perms = (
+        (0,) + tail
+        for tail in itertools.permutations(range(1, n))
+        if _unit_canonical(tail, unit_rows)
+    )
     orbit = n * totient(n)
-    pos = [0] * n
-    length_of = engine.length_of_positions
-    for tail in itertools.permutations(range(1, n)):
-        perm = (0,) + tail
-        if not _unit_canonical(perm, unit_rows):
-            continue
-        for where, idx in enumerate(perm):
-            pos[idx] = where
-        counts[length_of(pos)] += 1
-    return [orbit * c for c in counts]
+    return [orbit * c for c in _tally_serial(spec, perms)]
 
 
 def distribution(
@@ -194,12 +179,7 @@ def three_free_count(n: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _three_term_index_triples(spec: AdditiveSetSpec) -> tuple[tuple[int, int, int], ...]:
-    from . import counting
-
-    return tuple(
-        tuple(groups.canonical_index(spec, t) for t in terms)
-        for _ap, terms in counting.iter_progressions(spec, 3)
-    )
+    return las.progression_index_tuples(spec, 3)
 
 
 def is_three_free(ordering: las.Ordering) -> bool:
@@ -249,12 +229,9 @@ def three_free_orderings(m: int) -> list[las.Ordering]:
     if m > 4:
         raise CapExceeded("three_free_orderings is capped at m <= 4 (2^15 orderings)")
     if m == 1:
-        trivial = las.Ordering.from_indices(groups.cyclic(1), [0])
-        return [
-            _assemble_three_free(1, trivial, trivial, evens_first)
-            for evens_first in (True, False)
-        ]
-    halves = three_free_orderings(m - 1)
+        halves = [las.Ordering.from_indices(groups.cyclic(1), [0])]
+    else:
+        halves = three_free_orderings(m - 1)
     out = []
     for s in halves:
         for t in halves:
@@ -290,9 +267,18 @@ def _structure_check_values(values: list[int]) -> bool:
 # --- result cache ---------------------------------------------------------
 
 
-def _counts_checksum(counts: tuple[int, ...]) -> str:
-    payload = json.dumps(list(counts), separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()
+def _entry_checksum(spec_text: str, version: str, counts, total) -> str:
+    payload = json.dumps([spec_text, version, list(counts), total], separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _consistent(spec: AdditiveSetSpec, counts: tuple, total) -> bool:
+    card = spec.cardinality
+    return (
+        len(counts) == card + 1
+        and all(type(c) is int and c >= 0 for c in (*counts, total))
+        and sum(counts) == total == math.factorial(card)
+    )
 
 
 def _cache_path(spec: AdditiveSetSpec, cache_dir: str) -> str:
@@ -303,27 +289,47 @@ def _cache_path(spec: AdditiveSetSpec, cache_dir: str) -> str:
 def save_distribution(table: DistributionTable, cache_dir: str) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(table.spec, cache_dir)
+    spec_text = str(table.spec)
     doc = {
-        "spec": str(table.spec),
+        "spec": spec_text,
         "tool_version": __version__,
         "counts": list(table.counts),
         "total": table.total,
-        "checksum": _counts_checksum(table.counts),
+        "checksum": _entry_checksum(spec_text, __version__, table.counts, table.total),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    # write aside and rename, so no reader ever sees a half-written entry
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 
 def load_distribution(spec: AdditiveSetSpec, cache_dir: str) -> DistributionTable | None:
+    """Cached table for spec, or None on a miss.  An entry that cannot be
+    read, fails its checksum or does not sum to |A|! is a miss, reported
+    with one warning on stderr."""
     path = _cache_path(spec, cache_dir)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("spec") != str(spec) or doc.get("tool_version") != __version__:
-        return None
-    counts = tuple(doc["counts"])
-    if doc.get("checksum") != _counts_checksum(counts):
-        return None
-    return DistributionTable(spec, counts, doc["total"])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        counts, total = tuple(doc["counts"]), doc["total"]
+        intact = doc["checksum"] == _entry_checksum(str(spec), __version__, counts, total)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"unreadable ({type(exc).__name__}: {exc})"
+    else:
+        if not intact:
+            reason = "checksum mismatch"
+        elif not _consistent(spec, counts, total):
+            reason = "inconsistent counts"
+        else:
+            return DistributionTable(spec, counts, total)
+    print(f"warning: ignoring cache entry {path}: {reason}", file=sys.stderr)
+    return None

@@ -184,14 +184,10 @@ class AdditiveSetSpec:
         return self.family in GROUP_FAMILIES
 
     def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant-factor chain of a group family; () for the trivial group."""
-        if self.family == CYCLIC:
-            return (self.n,) if self.n >= 2 else ()
-        if self.family == ABELIAN:
-            return self.factors
-        if self.family == ELEMENTARY:
-            return (self.p,) * self.d
-        raise ValueError("interval boxes have no invariant factors")
+        """Invariant-factor chain of a group family (its moduli, which form
+        a divisibility chain); () for the trivial group."""
+        moduli = self.moduli  # raises for interval boxes
+        return moduli if self.cardinality > 1 else ()
 
     @property
     def exponent(self) -> int:
@@ -258,13 +254,6 @@ def identity(spec: AdditiveSetSpec) -> Element:
     return (0,) * spec.dimension
 
 
-def in_box(spec: AdditiveSetSpec, x: Element) -> bool:
-    """Membership of a lattice point in the interval box [1,n]^d."""
-    if spec.family != INTERVAL:
-        raise ValueError("in_box applies to interval boxes only")
-    return len(x) == spec.d and all(1 <= c <= spec.n for c in x)
-
-
 def is_valid_element(spec: AdditiveSetSpec, x) -> bool:
     if len(x) != spec.dimension:
         return False
@@ -280,23 +269,6 @@ def check_element(spec: AdditiveSetSpec, x) -> None:
         )
     if not is_valid_element(spec, x):
         raise ValueError(f"element {x} out of range for {spec}")
-
-
-def add(spec: AdditiveSetSpec, x: Element, y: Element) -> Element:
-    """Coordinatewise sum; reduced for group families, ambient for intervals."""
-    check_element(spec, x)
-    check_element(spec, y)
-    if spec.family == INTERVAL:
-        return tuple(a + b for a, b in zip(x, y))
-    return tuple((a + b) % m for a, b, m in zip(x, y, spec.moduli))
-
-
-def scalar_mul(spec: AdditiveSetSpec, m: int, x: Element) -> Element:
-    """Iterated sum m*x under the set's ambient group; m may be negative."""
-    check_element(spec, x)
-    if spec.family == INTERVAL:
-        return tuple(m * a for a in x)
-    return tuple((m * a) % mod for a, mod in zip(x, spec.moduli))
 
 
 def element_order(spec: AdditiveSetSpec, x: Element) -> int:

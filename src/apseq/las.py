@@ -5,6 +5,10 @@ The orbit walk scans, for every nonidentity step, the cycles of x -> x + step
 and finds the longest stretch of consecutive cycle nodes whose positions in
 the ordering strictly increase.  The pair DP keys chains of index pairs by
 their common difference.  Each algorithm is the other's oracle.
+
+For many orderings of one set, length_engine builds a length-only engine
+once; every engine takes an ordering as its sequence of canonical indices,
+through length_of_indices.
 """
 
 from __future__ import annotations
@@ -257,32 +261,55 @@ def _subtract(spec: AdditiveSetSpec, x: tuple, y: tuple) -> tuple:
     return tuple((a - b) % m for a, b, m in zip(x, y, spec.moduli))
 
 
-def count_k_subsequences(
-    ordering: Ordering, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
-) -> int:
-    """Exact number of k-term progression subsequences of the ordering."""
-    card = ordering.spec.cardinality
-    if k < 2 or k > card:
-        raise ValueError(f"k must be in [2, {card}], got {k}")
-    pos_of = {elem: where for where, elem in enumerate(ordering.seq)}
+def progression_index_tuples(
+    spec: AdditiveSetSpec, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
+) -> tuple[tuple[int, ...], ...]:
+    """Every progression k-ordering of the set, as canonical-index tuples."""
+    return tuple(
+        tuple(groups.canonical_index(spec, t) for t in terms)
+        for _ap, terms in counting.iter_progressions(spec, k, enum_cap=enum_cap)
+    )
+
+
+def count_in_order(progs, idx_seq: Sequence[int]) -> int:
+    """Number of index tuples in progs whose terms appear in increasing
+    positions of the ordering idx_seq (canonical indices)."""
+    pos = [0] * len(idx_seq)
+    for where, idx in enumerate(idx_seq):
+        pos[idx] = where
     count = 0
-    for _ap, terms in counting.iter_progressions(ordering.spec, k, enum_cap=enum_cap):
-        p = pos_of[terms[0]]
-        in_order = True
+    for terms in progs:
+        p = pos[terms[0]]
         for t in terms[1:]:
-            q = pos_of[t]
+            q = pos[t]
             if q <= p:
-                in_order = False
                 break
             p = q
-        if in_order:
+        else:
             count += 1
     return count
 
 
+def count_k_subsequences(
+    ordering: Ordering, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
+) -> int:
+    """Exact number of k-term progression subsequences of the ordering."""
+    spec = ordering.spec
+    card = spec.cardinality
+    if k < 2 or k > card:
+        raise ValueError(f"k must be in [2, {card}], got {k}")
+    progs = progression_index_tuples(spec, k, enum_cap=enum_cap)
+    return count_in_order(progs, ordering.indices)
+
+
 class GroupLengthEngine:
     """Length-only orbit walk with precomputed walks, reusable across many
-    orderings of one group spec."""
+    orderings of one group spec.
+
+    length_of_indices(idx_seq) fills the engine's position buffer from the
+    canonical-index sequence and scans it with length_of_positions(pos),
+    where pos[canonical index] = position in the ordering.
+    """
 
     def __init__(self, spec: AdditiveSetSpec):
         if not spec.is_group:
@@ -298,6 +325,7 @@ class GroupLengthEngine:
         # longer cycles first so the m <= best skip fires often
         walks.sort(key=lambda mw: -mw[0])
         self.walks = walks
+        self._pos = [0] * self.card
 
     def length_of_positions(self, pos: Sequence[int]) -> int:
         if self.card == 1:
@@ -320,7 +348,7 @@ class GroupLengthEngine:
         return best
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
-        pos = [0] * self.card
+        pos = self._pos
         for where, idx in enumerate(idx_seq):
             pos[idx] = where
         return self.length_of_positions(pos)
@@ -329,11 +357,11 @@ class GroupLengthEngine:
 class IntervalLengthEngine:
     """Length-only pair DP for interval boxes, on canonical index sequences."""
 
-    def __init__(self, spec: AdditiveSetSpec, *, cap: int = PAIR_DP_CAP):
+    def __init__(self, spec: AdditiveSetSpec):
         if spec.family != INTERVAL:
             raise ValueError("interval engine requires the interval family")
-        if spec.cardinality > cap:
-            raise CapExceeded(f"pair DP capped at |A| <= {cap}")
+        if spec.cardinality > PAIR_DP_CAP:
+            raise CapExceeded(f"pair DP capped at |A| <= {PAIR_DP_CAP}")
         self.spec = spec
         self.card = spec.cardinality
         if spec.d == 1:
@@ -388,8 +416,10 @@ class IntervalLengthEngine:
         return best
 
 
-def length_engine(spec: AdditiveSetSpec, *, cap: int = PAIR_DP_CAP):
-    """Engine with length_of_indices(), picking the family's algorithm."""
+def length_engine(spec: AdditiveSetSpec):
+    """Length-only engine for the family's algorithm, built once per spec:
+    engine.length_of_indices(idx_seq) is the longest progression length of
+    the ordering listing the canonical indices idx_seq."""
     if spec.family == INTERVAL:
-        return IntervalLengthEngine(spec, cap=cap)
+        return IntervalLengthEngine(spec)
     return GroupLengthEngine(spec)

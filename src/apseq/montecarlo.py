@@ -14,7 +14,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass
 
-from . import asymptotics, counting, groups, las
+from . import asymptotics, counting, las
 from .groups import AdditiveSetSpec
 
 _M64 = (1 << 64) - 1
@@ -113,51 +113,26 @@ class SubseqCountStats:
     samples: int
 
 
-def _progression_index_tuples(spec: AdditiveSetSpec, k: int) -> list[tuple[int, ...]]:
-    """All progression k-orderings as tuples of canonical indices."""
+def _nk_chunk(args) -> list[int]:
+    spec, seed, start, stop, k = args
+    progs = las.progression_index_tuples(spec, k)
+    card = spec.cardinality
     return [
-        tuple(groups.canonical_index(spec, t) for t in terms)
-        for _ap, terms in counting.iter_progressions(spec, k)
+        las.count_in_order(progs, _shuffled_indices(card, substream(seed, i)))
+        for i in range(start, stop)
     ]
 
 
-def _nk_of_positions(progs: list[tuple[int, ...]], pos: list[int]) -> int:
-    count = 0
-    for terms in progs:
-        p = pos[terms[0]]
-        ok = True
-        for t in terms[1:]:
-            q = pos[t]
-            if q <= p:
-                ok = False
-                break
-            p = q
-        if ok:
-            count += 1
-    return count
-
-
-def _positions_of(perm: list[int], pos: list[int]) -> list[int]:
-    for where, idx in enumerate(perm):
-        pos[idx] = where
-    return pos
-
-
-def _nk_chunk(args) -> list[int]:
-    spec, seed, start, stop, k = args
-    progs = _progression_index_tuples(spec, k)
-    card = spec.cardinality
-    pos = [0] * card
-    out = []
-    for i in range(start, stop):
-        perm = _shuffled_indices(card, substream(seed, i))
-        out.append(_nk_of_positions(progs, _positions_of(perm, pos)))
-    return out
-
-
-def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
-    size = (samples + workers - 1) // workers
-    return [(s, min(s + size, samples)) for s in range(0, samples, size)]
+def _map_chunks(worker, config: ExperimentConfig, parallel: int | None, *extra) -> list:
+    """worker's results on consecutive sample ranges, one range per pool
+    worker (or one range in-process), in sample order."""
+    spec, m, seed = config.spec, config.samples, config.seed
+    if not (parallel and parallel > 1):
+        return [worker((spec, seed, 0, m, *extra))]
+    size = (m + parallel - 1) // parallel
+    jobs = [(spec, seed, a, min(a + size, m), *extra) for a in range(0, m, size)]
+    with multiprocessing.Pool(parallel) as pool:
+        return pool.map(worker, jobs)
 
 
 def estimate_Nk_mean(
@@ -167,15 +142,8 @@ def estimate_Nk_mean(
     with its standard error and z-score against the exact expectation."""
     if config.k is None:
         raise ValueError("config.k is required")
-    spec, m, seed, k = config.spec, config.samples, config.seed, config.k
-    if parallel and parallel > 1:
-        jobs = [(spec, seed, a, b, k) for a, b in _chunks(m, parallel)]
-        with multiprocessing.Pool(parallel) as pool:
-            values: list[int] = []
-            for part in pool.map(_nk_chunk, jobs):
-                values.extend(part)
-    else:
-        values = _nk_chunk((spec, seed, 0, m, k))
+    spec, m, k = config.spec, config.samples, config.k
+    values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]
 
     # integer sums keep the statistics independent of chunking
     total = sum(values)
@@ -196,37 +164,23 @@ def estimate_Nk_mean(
 
 def _length_chunk(args) -> dict[int, int]:
     spec, seed, start, stop = args
-    engine = las.length_engine(spec)
+    length_of = las.length_engine(spec).length_of_indices
     card = spec.cardinality
     tally: dict[int, int] = {}
-    if spec.is_group:
-        pos = [0] * card
-        for i in range(start, stop):
-            perm = _shuffled_indices(card, substream(seed, i))
-            L = engine.length_of_positions(_positions_of(perm, pos))
-            tally[L] = tally.get(L, 0) + 1
-    else:
-        for i in range(start, stop):
-            perm = _shuffled_indices(card, substream(seed, i))
-            L = engine.length_of_indices(perm)
-            tally[L] = tally.get(L, 0) + 1
+    for i in range(start, stop):
+        L = length_of(_shuffled_indices(card, substream(seed, i)))
+        tally[L] = tally.get(L, 0) + 1
     return tally
 
 
 def _sample_length_counts(
     config: ExperimentConfig, parallel: int | None
 ) -> dict[int, int]:
-    spec, m, seed = config.spec, config.samples, config.seed
-    if parallel and parallel > 1:
-        jobs = [(spec, seed, a, b) for a, b in _chunks(m, parallel)]
-        with multiprocessing.Pool(parallel) as pool:
-            parts = pool.map(_length_chunk, jobs)
-        tally: dict[int, int] = {}
-        for part in parts:
-            for key, cnt in part.items():
-                tally[key] = tally.get(key, 0) + cnt
-        return tally
-    return _length_chunk((spec, seed, 0, m))
+    tally: dict[int, int] = {}
+    for part in _map_chunks(_length_chunk, config, parallel):
+        for key, cnt in part.items():
+            tally[key] = tally.get(key, 0) + cnt
+    return tally
 
 
 def empirical_L_distribution(

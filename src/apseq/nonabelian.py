@@ -97,10 +97,6 @@ def _inverse_of(x):
     raise TypeError(f"unsupported element type {type(x).__name__}")
 
 
-def _is_identity(x) -> bool:
-    return x.is_identity()
-
-
 def _check_same_group(seq) -> None:
     if len(seq) < 2:
         raise ValueError("sequence must have length >= 2")
@@ -112,28 +108,22 @@ def _check_same_group(seq) -> None:
             raise ValueError("elements of different dihedral groups")
 
 
+def _has_constant_ratio(seq, ratio) -> bool:
+    _check_same_group(seq)
+    first = ratio(seq[0], seq[1])
+    return not first.is_identity() and all(
+        ratio(x, y) == first for x, y in zip(seq[1:], seq[2:])
+    )
+
+
 def is_left_ap(seq) -> bool:
     """True iff seq[i+1] * seq[i]^-1 is constant and not the identity."""
-    _check_same_group(seq)
-    ratio = seq[1] * _inverse_of(seq[0])
-    if _is_identity(ratio):
-        return False
-    for i in range(1, len(seq) - 1):
-        if seq[i + 1] * _inverse_of(seq[i]) != ratio:
-            return False
-    return True
+    return _has_constant_ratio(seq, lambda x, y: y * _inverse_of(x))
 
 
 def is_right_ap(seq) -> bool:
     """True iff seq[i]^-1 * seq[i+1] is constant and not the identity."""
-    _check_same_group(seq)
-    ratio = _inverse_of(seq[0]) * seq[1]
-    if _is_identity(ratio):
-        return False
-    for i in range(1, len(seq) - 1):
-        if _inverse_of(seq[i]) * seq[i + 1] != ratio:
-            return False
-    return True
+    return _has_constant_ratio(seq, lambda x, y: _inverse_of(x) * y)
 
 
 def invert_sequence(seq) -> list:
@@ -141,39 +131,37 @@ def invert_sequence(seq) -> list:
     return [_inverse_of(x) for x in seq]
 
 
-def _dihedral_ap_count(n: int, k: int, left: bool) -> int:
+def dihedral_progressions(n: int, k: int, left: bool):
+    """Yield every injective k-term left (or right) progression in the
+    dihedral group of order 2n, as a list of terms, by brute force."""
     order = 2 * n
     if order > DIHEDRAL_ORDER_CAP:
         raise CapExceeded(f"dihedral counts capped at group order {DIHEDRAL_ORDER_CAP}")
     if not 2 <= k <= order:
         raise ValueError(f"k must be in [2, {order}], got {k}")
     elems = dihedral_elements(n)
-    count = 0
     for r in elems:
         if r.is_identity():
             continue
         for a in elems:
             terms = [a]
             cur = a
-            ok = True
             for _ in range(k - 1):
                 cur = (r * cur) if left else (cur * r)
                 if cur in terms:
-                    ok = False
                     break
                 terms.append(cur)
-            if ok:
-                count += 1
-    return count
+            else:
+                yield terms
 
 
 def left_ap_count(n: int, k: int) -> int:
     """Number of injective k-term left progressions in the dihedral group
     of order 2n, by brute force."""
-    return _dihedral_ap_count(n, k, left=True)
+    return sum(1 for _ in dihedral_progressions(n, k, left=True))
 
 
 def right_ap_count(n: int, k: int) -> int:
     """Number of injective k-term right progressions in the dihedral group
     of order 2n, by brute force."""
-    return _dihedral_ap_count(n, k, left=False)
+    return sum(1 for _ in dihedral_progressions(n, k, left=False))

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import multiprocessing
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from apseq import cli
 
@@ -232,3 +238,101 @@ def test_cache_dir_env(tmp_path):
     )
     assert proc.returncode == 0
     assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _set_total_to_one(text):
+    doc = json.loads(text)
+    doc["total"] = 1
+    return json.dumps(doc)
+
+
+def _drop_counts(text):
+    doc = json.loads(text)
+    del doc["counts"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _set_total_to_one, _drop_counts])
+def test_enumerate_cache_bad_entry_is_a_miss(corrupt, tmp_path, capsys):
+    argv = ["enumerate", "--set", "interval:5", "--json"]
+    code, uncached, _ = run_main(capsys, *argv)
+    assert code == 0
+    cached = [*argv, "--cache", str(tmp_path)]
+    assert run_main(capsys, *cached)[0] == 0
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(corrupt(entry.read_text()))
+    code, out, err = run_main(capsys, *cached)
+    assert code == 0
+    assert out == uncached
+    assert err.count("warning") == 1
+    # the miss rewrote the entry, so the next run hits it silently
+    assert run_main(capsys, *cached) == (0, uncached, "")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", str(cli.MAX_PARALLEL + 1)])
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--set", "cyclic:5"],
+    ["simulate", "--set", "cyclic:5", "--samples", "4", "--seed", "1"],
+    ["tables", "--family", "cyclic", "--max-n", "3"],
+])
+def test_parallel_out_of_range_is_usage_error(command, value, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_main(capsys, *command, f"--parallel={value}")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
+# Golden stdout: each case runs in-process through cli.main and must print
+# exactly the recorded bytes (and write exactly the recorded CSV, where the
+# case passes --csv).  The eight README commands come first.
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_stdout.json"
+GOLDEN_CASES = {
+    "readme_count": ["count", "--set", "cyclic:12", "--k", "3", "--json"],
+    "readme_las": ["las", "--set", "cyclic:7", "--sequence", "0,2,6,1,3,5,4",
+                   "--witness", "--json"],
+    "readme_enumerate": ["enumerate", "--set", "interval:7", "--json"],
+    "readme_predict": ["predict", "--set", "interval:1000", "--json"],
+    "readme_simulate_nk": ["simulate", "--set", "cyclic:50", "--samples", "2000",
+                           "--seed", "7", "--k", "3", "--json"],
+    "readme_simulate_histogram": ["simulate", "--set", "interval:200", "--samples",
+                                  "200", "--seed", "1", "--histogram", "--json"],
+    "readme_nonabelian": ["nonabelian", "--group", "dihedral:5", "--k", "5", "--json"],
+    "readme_tables": ["tables", "--family", "interval", "--max-n", "8"],
+    "enumerate_cyclic_symmetry": ["enumerate", "--set", "cyclic:7", "--symmetry",
+                                  "--json"],
+    "simulate_abelian_histogram": ["simulate", "--set", "abelian:4x8", "--samples",
+                                   "300", "--seed", "2", "--histogram", "--json"],
+    "tables_empty": ["tables", "--family", "cyclic", "--max-n", "0", "--csv", "{csv}"],
+    "enumerate_csv": ["enumerate", "--set", "interval:6", "--csv", "{csv}"],
+    "tables_csv": ["tables", "--family", "cyclic", "--max-n", "7", "--csv", "{csv}"],
+}
+
+
+def run_golden_case(argv, tmp_dir):
+    """Run one case in-process; return its exit code, stdout and CSV text."""
+    csv_path = pathlib.Path(tmp_dir) / "out.csv"
+    argv = [str(csv_path) if a == "{csv}" else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    csv_text = None
+    if csv_path.exists():
+        csv_text = csv_path.read_bytes().decode("utf-8")
+    return code, buf.getvalue(), csv_text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_stdout(name, tmp_path):
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    code, out, csv_text = run_golden_case(GOLDEN_CASES[name], tmp_path)
+    assert code == 0
+    assert out == want["stdout"]
+    assert csv_text == want["csv"]

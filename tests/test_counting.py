@@ -134,7 +134,7 @@ def test_bounds_abelian_first_factor_range():
         assert b.lower <= exact <= b.upper, (chain, k)
 
 
-def test_bounds_abelian_upper_fails_past_first_factor():
+def test_bounds_abelian_upper_holds_past_first_factor():
     # with k above the first invariant factor, steps that are nontrivial early
     # but have large order must still be counted.  The old upper bound
     # n * prod(n_j..n_d) - n dropped the early factors and undercounted here:

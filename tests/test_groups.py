@@ -7,7 +7,6 @@ from apseq.errors import CapExceeded
 from apseq.groups import (
     AdditiveSetSpec,
     abelian,
-    add,
     canonical_index,
     cyclic,
     element_at,
@@ -17,39 +16,8 @@ from apseq.groups import (
     interval_box,
     normalize_invariant_factors,
     parse_set_spec,
-    scalar_mul,
     totient,
 )
-
-
-def test_add_cyclic():
-    assert add(cyclic(7), (5,), (4,)) == (2,)
-
-
-def test_add_abelian_componentwise():
-    assert add(abelian(2, 4), (1, 3), (1, 2)) == (0, 1)
-
-
-def test_add_interval_leaves_box():
-    assert add(interval_box(5, 2), (4, 5), (2, 1)) == (6, 6)
-
-
-def test_add_dimension_mismatch():
-    with pytest.raises(ValueError):
-        add(cyclic(7), (5, 1), (4,))
-
-
-def test_scalar_mul_cyclic():
-    assert scalar_mul(cyclic(7), 3, (5,)) == (1,)
-
-
-def test_scalar_mul_zero_gives_identity():
-    assert scalar_mul(cyclic(7), 0, (5,)) == (0,)
-    assert scalar_mul(interval_box(5, 2), 0, (3, 4)) == (0, 0)
-
-
-def test_scalar_mul_negative():
-    assert scalar_mul(cyclic(6), -1, (2,)) == (4,)
 
 
 def test_element_order_examples():
@@ -78,6 +46,11 @@ def test_canonical_index_examples():
     assert canonical_index(interval_box(3, 2), (1, 1)) == 0
     assert canonical_index(interval_box(3, 2), (3, 3)) == 8
     assert element_at(abelian(2, 4), 7) == (1, 3)
+
+
+def test_canonical_index_dimension_mismatch():
+    with pytest.raises(ValueError):
+        canonical_index(cyclic(7), (5, 1))
 
 
 def test_index_roundtrip_all_families():
@@ -149,7 +122,8 @@ def test_order_divides_exponent_and_kills():
         for x in elements(spec):
             order = element_order(spec, x)
             assert spec.exponent % order == 0
-            assert scalar_mul(spec, order, x) == groups.identity(spec)
+            multiple = tuple((order * a) % m for a, m in zip(x, spec.moduli))
+            assert multiple == groups.identity(spec)
 
 
 def test_order_counts_match_totient():
