@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Data (JSON or CSV) goes to stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 usage error, 2 budget or cap violation, 3 internal invariant
-failure (including golden-table mismatches).
+0 success, 1 usage error, 2 budget or cap violation, 3 internal error (a
+failed invariant, a golden-table mismatch or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -440,6 +440,9 @@ def main(argv=None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -286,8 +286,10 @@ def _cache_path(spec: AdditiveSetSpec, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{name}__v{__version__}.json")
 
 
-def save_distribution(table: DistributionTable, cache_dir: str) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
+def save_distribution(table: DistributionTable, cache_dir: str) -> str | None:
+    """Write table's cache entry and return its path.  A directory or file
+    that cannot be written leaves the result uncached, with one warning on
+    stderr, and returns None."""
     path = _cache_path(table.spec, cache_dir)
     spec_text = str(table.spec)
     doc = {
@@ -300,13 +302,18 @@ def save_distribution(table: DistributionTable, cache_dir: str) -> str:
     # write aside and rename, so no reader ever sees a half-written entry
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        print(f"warning: result not cached ({path}): {exc}", file=sys.stderr)
+        return None
     return path
 
 

@@ -6,14 +6,21 @@ and finds the longest stretch of consecutive cycle nodes whose positions in
 the ordering strictly increase.  The pair DP keys chains of index pairs by
 their common difference.  Each algorithm is the other's oracle.
 
-For many orderings of one set, length_engine builds a length-only engine
-once; every engine takes an ordering as its sequence of canonical indices,
-through length_of_indices.
+For many orderings of one set, length_engine builds a length-only walk
+engine once, for groups and interval boxes alike.  It keeps one step v of
+each pair {v, -v} and stores the lines of x -> x + v: the cycles of a group,
+the maximal paths inside a box.  A rising run of positions along a line is a
+progression with step v, a falling run one with step -v.  The scan probes
+only every best-th comparison of a line and extends each probe both ways.
+Every engine takes an ordering as its sequence of canonical indices, through
+length_of_indices; the pair DP is its oracle for every family.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import counting, groups
@@ -21,6 +28,8 @@ from .errors import CapExceeded, InternalInvariantError
 from .groups import INTERVAL, AdditiveSetSpec
 
 PAIR_DP_CAP = 5000
+# A walk engine stores about |A|^2 / 2 line entries (cyclic:5000: 12.5 million).
+ENGINE_CAP = 5000
 
 
 class Ordering:
@@ -302,9 +311,84 @@ def count_k_subsequences(
     return count_in_order(progs, ordering.indices)
 
 
+def _check_engine_cap(spec: AdditiveSetSpec) -> None:
+    if spec.cardinality > ENGINE_CAP:
+        raise CapExceeded(f"length engines capped at |A| <= {ENGINE_CAP}")
+
+
+def _longest_run(lines, pos: Sequence[int]) -> int:
+    """Most terms of a monotone run of positions along any line.
+
+    lines holds (m, line) pairs sorted by m, longest first: line lists
+    canonical indices along x -> x + v, and m bounds the terms of any run in
+    it.  A rising run is a progression with step v, a falling run one with
+    step -v.  A run of best + 1 terms is best consecutive comparisons in one
+    direction, so only every best-th comparison is probed; each probe is
+    extended both ways while the direction holds, and the scan resumes
+    best - 1 comparisons past the run's end.
+    """
+    best = 2
+    for m, line in lines:
+        if m <= best:
+            break
+        last = len(line) - 1
+        t = best - 1  # comparison t joins terms t and t + 1
+        while t < last:
+            lo = t
+            hi = t + 1
+            a = pos[line[lo]]
+            b = pos[line[hi]]
+            if a < b:
+                while hi < last:
+                    c = pos[line[hi + 1]]
+                    if c < b:
+                        break
+                    b = c
+                    hi += 1
+                while lo:
+                    c = pos[line[lo - 1]]
+                    if c > a:
+                        break
+                    a = c
+                    lo -= 1
+            else:
+                while hi < last:
+                    c = pos[line[hi + 1]]
+                    if c > b:
+                        break
+                    b = c
+                    hi += 1
+                while lo:
+                    c = pos[line[lo - 1]]
+                    if c < a:
+                        break
+                    a = c
+                    lo -= 1
+            if hi - lo >= best:
+                best = hi - lo + 1
+                if m <= best:
+                    break
+            t = hi + best - 1
+    return best
+
+
+def _negation_table(moduli) -> list[int]:
+    """Entry i is the canonical index of -element_i."""
+    table = [0]
+    for m in moduli:
+        table = [base * m + (-c) % m for base in table for c in range(m)]
+    return table
+
+
 class GroupLengthEngine:
-    """Length-only orbit walk with precomputed walks, reusable across many
-    orderings of one group spec.
+    """Length-only walk engine, reusable across many orderings of one group
+    spec.
+
+    The build keeps one step v of each pair {v, -v} of order at least 3 and
+    stores each cycle of x -> x + v walked as cyc + cyc[:-1], so every
+    cyclic window of the cycle is a slice of the walk.  Steps of order 2
+    only give 2-term progressions, which every set of two or more elements
+    has.
 
     length_of_indices(idx_seq) fills the engine's position buffer from the
     canonical-index sequence and scans it with length_of_positions(pos),
@@ -314,38 +398,36 @@ class GroupLengthEngine:
     def __init__(self, spec: AdditiveSetSpec):
         if not spec.is_group:
             raise ValueError("length engine requires a group family")
+        _check_engine_cap(spec)
         self.spec = spec
-        self.card = spec.cardinality
-        walks = []
-        for step_idx in range(1, self.card):
-            for cyc in step_cycles(spec, step_idx):
-                m = len(cyc)
-                if m >= 2:
-                    walks.append((m, cyc + cyc[:-1]))
-        # longer cycles first so the m <= best skip fires often
-        walks.sort(key=lambda mw: -mw[0])
-        self.walks = walks
-        self._pos = [0] * self.card
+        self.card = card = spec.cardinality
+        ids = list(range(card))  # walks share these int objects
+        neg = _negation_table(spec.moduli)
+        lines = []
+        for step_idx in range(1, card):
+            if neg[step_idx] <= step_idx:  # -v comes first, or v has order 2
+                continue
+            succ = counting._succ_table(spec, groups.element_at(spec, step_idx))
+            seen = bytearray(card)
+            for start in range(card):
+                if seen[start]:
+                    continue
+                cyc = []
+                cur = start
+                while not seen[cur]:
+                    seen[cur] = 1
+                    cyc.append(ids[cur])
+                    cur = succ[cur]
+                lines.append((len(cyc), cyc + cyc[:-1]))
+        # longer cycles first so the m <= best cut fires often
+        lines.sort(key=itemgetter(0), reverse=True)
+        self.lines = lines
+        self._pos = [0] * card
 
     def length_of_positions(self, pos: Sequence[int]) -> int:
         if self.card == 1:
             return 1
-        best = 2
-        for m, walk in self.walks:
-            if m <= best:
-                break
-            run = 1
-            prev = pos[walk[0]]
-            for v in walk[1:]:
-                cur = pos[v]
-                if cur > prev:
-                    run += 1
-                    if run > best:
-                        best = run
-                else:
-                    run = 1
-                prev = cur
-        return best
+        return _longest_run(self.lines, pos)
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
         pos = self._pos
@@ -355,71 +437,90 @@ class GroupLengthEngine:
 
 
 class IntervalLengthEngine:
-    """Length-only pair DP for interval boxes, on canonical index sequences."""
+    """Length-only walk engine for interval boxes, on canonical index
+    sequences.
+
+    The build keeps one step v of each pair {v, -v} (first nonzero
+    coordinate positive) with every |v_i| <= (n - 1) / 2, and stores each
+    maximal path x, x + v, ... inside the box with at least 3 terms, as the
+    row-major indices from x in strides of v's index delta.  The scan is the
+    group engine's.
+    """
 
     def __init__(self, spec: AdditiveSetSpec):
         if spec.family != INTERVAL:
             raise ValueError("interval engine requires the interval family")
-        if spec.cardinality > PAIR_DP_CAP:
-            raise CapExceeded(f"pair DP capped at |A| <= {PAIR_DP_CAP}")
+        _check_engine_cap(spec)
         self.spec = spec
-        self.card = spec.cardinality
-        if spec.d == 1:
-            self.diffs = None
+        self.card = card = spec.cardinality
+        n, d = spec.n, spec.d
+        strides = [n ** (d - 1 - i) for i in range(d)]
+        half = (n - 1) // 2
+        ids = list(range(card))  # paths share these int objects
+        lines = []
+        if d == 1:
+            # the paths of step v start at x < v; 3 terms need x < n - 2v
+            for v in range(1, half + 1):
+                paths = [ids[x::v] for x in range(min(v, n - 2 * v))]
+                lines += zip(map(len, paths), paths)
         else:
-            # diffs[i][j] = injective key of element_i - element_j
-            coords = [groups.element_at(spec, i) for i in range(self.card)]
-            n = spec.n
-            self.diffs = [
-                [
-                    _interval_diff_key(tuple(a - b for a, b in zip(x, y)), n)
-                    for y in coords
+            origin = (0,) * d
+            for v in itertools.product(range(-half, half + 1), repeat=d):
+                if v <= origin:
+                    continue
+                delta = sum(c * s for c, s in zip(v, strides))
+                lines += [
+                    (cnt, ids[idx : idx + cnt * delta : delta])
+                    for idx, cnt in _box_path_starts(n, v, strides)
                 ]
-                for x in coords
-            ]
+        lines.sort(key=itemgetter(0), reverse=True)
+        self.lines = lines
+        self._pos = [0] * card
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
-        n_pos = self.card
-        if n_pos == 1:
+        if self.card == 1:
             return 1
-        best = 2
-        diffs = self.diffs
-        dp: list[dict[int, int]] = [dict() for _ in range(n_pos)]
-        if diffs is None:
-            for j in range(1, n_pos):
-                vj = idx_seq[j]
-                dpj = dp[j]
-                for i in range(j):
-                    key = vj - idx_seq[i]
-                    prev = dp[i].get(key)
-                    if prev is None:
-                        dpj[key] = 2
-                    else:
-                        length = prev + 1
-                        dpj[key] = length
-                        if length > best:
-                            best = length
+        pos = self._pos
+        for where, idx in enumerate(idx_seq):
+            pos[idx] = where
+        return _longest_run(self.lines, pos)
+
+
+def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:
+    """(row-major index, term count) of the first point of each maximal path
+    along step v in [0, n)^d with at least 3 terms."""
+    # per coordinate, (x * stride, terms from x along that coordinate) for
+    # the x that leave room for 3 terms, split into x where x - v_i leaves
+    # [0, n) (the path starts there) and the rest
+    heads, tails = [], []
+    for c, s in zip(v, strides):
+        if c > 0:
+            heads.append([(x * s, (n - 1 - x) // c + 1) for x in range(min(c, n - 2 * c))])
+            tails.append([(x * s, (n - 1 - x) // c + 1) for x in range(c, n - 2 * c)])
+        elif c < 0:
+            heads.append([(x * s, x // -c + 1) for x in range(max(n + c, -2 * c), n)])
+            tails.append([(x * s, x // -c + 1) for x in range(-2 * c, n + c)])
         else:
-            for j in range(1, n_pos):
-                row = diffs[idx_seq[j]]
-                dpj = dp[j]
-                for i in range(j):
-                    key = row[idx_seq[i]]
-                    prev = dp[i].get(key)
-                    if prev is None:
-                        dpj[key] = 2
-                    else:
-                        length = prev + 1
-                        dpj[key] = length
-                        if length > best:
-                            best = length
-        return best
+            heads.append([])
+            tails.append([(x * s, n) for x in range(n)])
+    # a point starts a path iff some coordinate does; split by the first one
+    out = []
+    for i, head in enumerate(heads):
+        if not head:
+            continue
+        acc = [(0, n)]
+        for j in range(len(v)):
+            axis = tails[j] if j < i else head if j == i else tails[j] + heads[j]
+            acc = [(o + oj, c if c < cj else cj) for o, c in acc for oj, cj in axis]
+        out += acc
+    return out
 
 
 def length_engine(spec: AdditiveSetSpec):
-    """Length-only engine for the family's algorithm, built once per spec:
+    """Length-only walk engine for the family, built once per spec:
     engine.length_of_indices(idx_seq) is the longest progression length of
-    the ordering listing the canonical indices idx_seq."""
+    the ordering listing the canonical indices idx_seq.  Raises CapExceeded
+    above ENGINE_CAP elements, before any table is built."""
     if spec.family == INTERVAL:
         return IntervalLengthEngine(spec)
     return GroupLengthEngine(spec)

@@ -212,6 +212,38 @@ def test_cap_exit_code():
     assert "cap exceeded" in proc.stderr
 
 
+def test_simulate_above_engine_cap_exit_code(capsys):
+    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:5001", "--samples", "1",
+                              "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err
+
+
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "_cmd_count", broken)
+    code, out, err = run_main(capsys, "count", "--set", "cyclic:7", "--k", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: broken command\n"
+
+
+def test_enumerate_unwritable_cache_warns(tmp_path, capsys):
+    argv = ["enumerate", "--set", "cyclic:4"]
+    code, uncached, _ = run_main(capsys, *argv)
+    assert code == 0
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    code, out, err = run_main(capsys, *argv, "--cache", str(blocker / "sub"))
+    assert code == 0
+    assert out == uncached
+    assert err.startswith(f"warning: result not cached ({blocker / 'sub'}")
+    assert err.count("\n") == 1
+
+
 def test_internal_error_exit_code():
     # lattice family with counts above the factorial on the whole range
     proc = run_cli("predict", "--set", "interval:3,2")

@@ -6,14 +6,21 @@ import pytest
 
 from apseq import groups
 from apseq.errors import CapExceeded
-from apseq.groups import abelian, cyclic, elementary, interval_box
+from apseq.groups import abelian, cyclic, elementary, interval_box, parse_set_spec
 from apseq.las import (
+    ENGINE_CAP,
     Ordering,
     count_k_subsequences,
     length_engine,
     longest_ap_orbitwalk,
     longest_ap_pairdp,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency: the property tests are skipped
+    st = None
 
 
 def _ordering(spec, indices):
@@ -312,3 +319,177 @@ def test_consistency_with_length():
             assert count_k_subsequences(o, L) >= 1
             if L + 1 <= card:
                 assert count_k_subsequences(o, L + 1) == 0
+
+
+def _regular_symmetries(spec):
+    """Index maps of |A| symmetries that act regularly on the set: the
+    translations of a group, or the coordinate reflections of {1, 2}^d."""
+    elems = list(groups.elements(spec))
+    if spec.is_group:
+        def act(c, x):
+            return tuple((a + b) % m for a, b, m in zip(x, c, spec.moduli))
+    else:
+        assert spec.n == 2
+
+        def act(c, x):
+            return tuple(3 - a if b == 2 else a for a, b in zip(x, c))
+    return [[groups.canonical_index(spec, act(c, x)) for x in elems] for c in elems]
+
+
+@pytest.mark.parametrize(
+    "text", ["interval:2,2", "abelian:2x2", "abelian:2x4", "abelian:2x2x2", "interval:2,3"]
+)
+def test_length_engine_matches_pairdp_exhaustive(text):
+    # every ordering is the image of exactly one ordering starting with index
+    # 0 under exactly one of the symmetries, which all preserve L; the pair DP
+    # runs once per such representative, the engine on every ordering
+    spec = parse_set_spec(text)
+    engine = length_engine(spec)
+    maps = _regular_symmetries(spec)
+    checked = 0
+    for tail in itertools.permutations(range(1, spec.cardinality)):
+        perm = (0,) + tail
+        want = longest_ap_pairdp(_ordering(spec, perm)).length
+        for row in maps:
+            image = [row[v] for v in perm]
+            assert engine.length_of_indices(image) == want, (text, image)
+            checked += 1
+    assert checked == math.factorial(spec.cardinality)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("cyclic:1", 1),
+        ("interval:1", 1),
+        ("interval:1,3", 1),
+        ("cyclic:2", 2),
+        ("interval:2", 2),
+        # 2v = 0 for every v, so no 3-term progression exists
+        ("elementary:2^3", 2),
+    ],
+)
+def test_length_engine_edge_sets(text, want):
+    spec = parse_set_spec(text)
+    engine = length_engine(spec)
+    perms = list(itertools.permutations(range(spec.cardinality)))
+    for perm in perms:
+        assert engine.length_of_indices(perm) == want
+    for perm in perms[:50]:
+        assert longest_ap_pairdp(_ordering(spec, perm)).length == want
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cyclic(ENGINE_CAP + 1), abelian(2, 2502), interval_box(ENGINE_CAP + 1),
+     interval_box(71, 2)],
+    ids=str,
+)
+def test_length_engine_cap(spec):
+    with pytest.raises(CapExceeded):
+        length_engine(spec)
+
+
+def _maximal_box_paths(spec):
+    """Every maximal progression of at least 3 terms in the box, as its
+    canonical indices in the direction in which they rise."""
+    n, d = spec.n, spec.d
+    points = set(groups.elements(spec))
+    paths = []
+    for v in itertools.product(range(-(n - 1), n), repeat=d):
+        if v <= (0,) * d:
+            continue
+        for x in points:
+            if tuple(a - b for a, b in zip(x, v)) in points:
+                continue
+            path = [x]
+            while (nxt := tuple(a + b for a, b in zip(path[-1], v))) in points:
+                path.append(nxt)
+            if len(path) >= 3:
+                paths.append(tuple(groups.canonical_index(spec, p) for p in path))
+    return sorted(paths)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [interval_box(n) for n in (3, 4, 7, 8)]
+    + [interval_box(n, 2) for n in (2, 3, 5, 6)]
+    + [interval_box(n, 3) for n in (3, 4)]
+    + [interval_box(3, 4)],
+    ids=str,
+)
+def test_interval_engine_lines_are_the_maximal_paths(spec):
+    # the golden tables check boxes of dimension 1 only
+    lines = length_engine(spec).lines
+    counts = [m for m, _ in lines]
+    assert counts == sorted(counts, reverse=True)
+    assert all(m == len(line) for m, line in lines)
+    assert sorted(tuple(line) for _, line in lines) == _maximal_box_paths(spec)
+
+
+def _chains(limit, depth, smallest=2):
+    """Divisibility chains of at most depth factors with product <= limit."""
+    out = []
+    for f in range(smallest, limit + 1):
+        out.append((f,))
+        if depth > 1:
+            out += [(f,) + rest for rest in _chains(limit // f, depth - 1, f)
+                    if rest[0] % f == 0]
+    return out
+
+
+PROPERTY_LIMIT = 60
+PROPERTY_SETS = {
+    "cyclic": [cyclic(n) for n in range(1, PROPERTY_LIMIT + 1)],
+    "abelian": [abelian(*c) for c in _chains(PROPERTY_LIMIT, 3)],
+    "interval": [
+        interval_box(n, d)
+        for d in (1, 2, 3)
+        for n in range(1, PROPERTY_LIMIT + 1)
+        if n**d <= PROPERTY_LIMIT
+    ],
+}
+
+if st is not None:
+
+    def _ordering_of(sets):
+        return st.sampled_from(sets).flatmap(
+            lambda spec: st.tuples(st.just(spec), st.permutations(range(spec.cardinality)))
+        )
+
+    any_ordering = st.one_of(*(_ordering_of(sets) for sets in PROPERTY_SETS.values()))
+    property_settings = settings(derandomize=True, max_examples=200, deadline=None)
+
+    @property_settings
+    @given(any_ordering)
+    def test_length_engine_matches_pairdp_property(case):
+        spec, perm = case
+        want = longest_ap_pairdp(_ordering(spec, perm)).length
+        assert length_engine(spec).length_of_indices(perm) == want
+
+    @property_settings
+    @given(any_ordering)
+    def test_length_engine_reversal_property(case):
+        spec, perm = case
+        engine = length_engine(spec)
+        assert engine.length_of_indices(perm[::-1]) == engine.length_of_indices(perm)
+
+    @property_settings
+    @given(_ordering_of(PROPERTY_SETS["cyclic"]), st.data())
+    def test_length_engine_affine_property_cyclic(case, data):
+        spec, perm = case
+        n = spec.n
+        u = data.draw(st.sampled_from([u for u in range(1, n + 1) if math.gcd(u, n) == 1]))
+        c = data.draw(st.integers(0, n - 1))
+        engine = length_engine(spec)
+        mapped = [(u * v + c) % n for v in perm]
+        assert engine.length_of_indices(mapped) == engine.length_of_indices(perm)
+
+    @property_settings
+    @given(_ordering_of(PROPERTY_SETS["interval"]))
+    def test_length_engine_reflection_property_interval(case):
+        # x -> n + 1 - x in every coordinate maps row-major index i to |A|-1-i
+        spec, perm = case
+        engine = length_engine(spec)
+        mapped = [spec.cardinality - 1 - v for v in perm]
+        assert engine.length_of_indices(mapped) == engine.length_of_indices(perm)
