@@ -8,10 +8,12 @@ their common difference.  Each algorithm is the other's oracle.
 
 For many orderings of one set, length_engine builds a length-only walk
 engine once, for groups and interval boxes alike.  It keeps one step v of
-each pair {v, -v} and stores the lines of x -> x + v: the cycles of a group,
-the maximal paths inside a box.  A rising run of positions along a line is a
-progression with step v, a falling run one with step -v.  The scan probes
-only every best-th comparison of a line and extends each probe both ways.
+each pair {v, -v} and stores the lines of x -> x + v: the cycles of a group
+(walked once per cyclic subgroup), the maximal paths inside a box.
+A rising run of positions along a line is a progression with step v, a
+falling run one with step -v.  The scan probes only every best-th comparison
+of a line (below m + best - 1 on a cycle of length m) and extends each probe
+both ways.
 Every engine takes an ordering as its sequence of canonical indices, through
 length_of_indices; the pair DP is its oracle for every family.
 """
@@ -19,6 +21,7 @@ length_of_indices; the pair DP is its oracle for every family.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -28,7 +31,8 @@ from .errors import CapExceeded, InternalInvariantError
 from .groups import INTERVAL, AdditiveSetSpec
 
 PAIR_DP_CAP = 5000
-# A walk engine stores about |A|^2 / 2 line entries (cyclic:5000: 12.5 million).
+# A group engine stores about |A|^2 line entries, its walks being doubled
+# (cyclic:5000: 24,967,500); a box stores fewer (interval:1000: 416,166).
 ENGINE_CAP = 5000
 
 
@@ -332,8 +336,9 @@ def _longest_run(lines, pos: Sequence[int]) -> int:
         if m <= best:
             break
         last = len(line) - 1
+        stop = last if last < m else m + best - 1  # runs start below m
         t = best - 1  # comparison t joins terms t and t + 1
-        while t < last:
+        while t < stop:
             lo = t
             hi = t + 1
             a = pos[line[lo]]
@@ -368,16 +373,9 @@ def _longest_run(lines, pos: Sequence[int]) -> int:
                 best = hi - lo + 1
                 if m <= best:
                     break
+                stop = last if last < m else m + best - 1
             t = hi + best - 1
     return best
-
-
-def _negation_table(moduli) -> list[int]:
-    """Entry i is the canonical index of -element_i."""
-    table = [0]
-    for m in moduli:
-        table = [base * m + (-c) % m for base in table for c in range(m)]
-    return table
 
 
 class GroupLengthEngine:
@@ -386,9 +384,11 @@ class GroupLengthEngine:
 
     The build keeps one step v of each pair {v, -v} of order at least 3 and
     stores each cycle of x -> x + v walked as cyc + cyc[:-1], so every
-    cyclic window of the cycle is a slice of the walk.  Steps of order 2
-    only give 2-term progressions, which every set of two or more elements
-    has.
+    cyclic window of the cycle is a slice of the walk, and the scan probes
+    it below comparison m + best - 1 only.  The cosets of each cyclic
+    subgroup <v> of order m are walked once; for each unit u < m / 2 the
+    cycles of u * v read them at i * u mod m.  Order-2 subgroups only give
+    2-term progressions, which every set of two or more elements has.
 
     length_of_indices(idx_seq) fills the engine's position buffer from the
     canonical-index sequence and scans it with length_of_positions(pos),
@@ -402,23 +402,23 @@ class GroupLengthEngine:
         self.spec = spec
         self.card = card = spec.cardinality
         ids = list(range(card))  # walks share these int objects
-        neg = _negation_table(spec.moduli)
+        done = bytearray(card)
         lines = []
         for step_idx in range(1, card):
-            if neg[step_idx] <= step_idx:  # -v comes first, or v has order 2
+            if done[step_idx]:
                 continue
-            succ = counting._succ_table(spec, groups.element_at(spec, step_idx))
-            seen = bytearray(card)
-            for start in range(card):
-                if seen[start]:
-                    continue
-                cyc = []
-                cur = start
-                while not seen[cur]:
-                    seen[cur] = 1
-                    cyc.append(ids[cur])
-                    cur = succ[cur]
-                lines.append((len(cyc), cyc + cyc[:-1]))
+            if groups.element_order(spec, groups.element_at(spec, step_idx)) < 3:
+                continue
+            # the cycles of every generator u * v of <v> are its cosets
+            cosets = [[*map(ids.__getitem__, c)] for c in step_cycles(spec, step_idx)]
+            multiples = cosets[0]  # multiples[u] = u * v
+            m = len(multiples)
+            for u in range(1, (m + 1) // 2):
+                if math.gcd(u, m) == 1:
+                    done[multiples[u]] = done[multiples[m - u]] = 1
+                    perm = list(map(m.__rmod__, range(0, m * u, u)))
+                    walk = itemgetter(*perm, *perm[:-1])
+                    lines += [(m, walk(cyc)) for cyc in cosets]
         # longer cycles first so the m <= best cut fires often
         lines.sort(key=itemgetter(0), reverse=True)
         self.lines = lines

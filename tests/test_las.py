@@ -14,6 +14,7 @@ from apseq.las import (
     length_engine,
     longest_ap_orbitwalk,
     longest_ap_pairdp,
+    step_cycles,
 )
 
 try:
@@ -425,6 +426,56 @@ def test_interval_engine_lines_are_the_maximal_paths(spec):
     assert counts == sorted(counts, reverse=True)
     assert all(m == len(line) for m, line in lines)
     assert sorted(tuple(line) for _, line in lines) == _maximal_box_paths(spec)
+
+
+def _undirected_cycle(cyc):
+    """The smallest rotation of the cycle read either way round."""
+    turns = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
+    return min(tuple(t) for way in (turns, [t[::-1] for t in turns]) for t in way)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"cyclic:{n}" for n in range(1, 17)]
+    + ["abelian:2x4", "abelian:3x9", "abelian:4x8", "abelian:2x6x12", "abelian:2x2x2"]
+    + ["elementary:3^3", "elementary:5^2"],
+)
+def test_group_engine_lines_are_the_cycles(text):
+    # one copy of the cycles of one step of each pair {v, -v} of order >= 3,
+    # walked independently of the engine's per-subgroup build
+    spec = parse_set_spec(text)
+    lines = length_engine(spec).lines
+    counts = [m for m, _ in lines]
+    assert counts == sorted(counts, reverse=True)
+    for m, line in lines:
+        assert len(line) == 2 * m - 1 and tuple(line[m:]) == tuple(line[: m - 1])
+    want = []
+    for step_idx in range(1, spec.cardinality):
+        v = groups.element_at(spec, step_idx)
+        neg = groups.canonical_index(spec, tuple((-c) % k for c, k in zip(v, spec.moduli)))
+        if neg > step_idx:
+            want += [_undirected_cycle(c) for c in step_cycles(spec, step_idx)]
+    got = [_undirected_cycle(list(line[:m])) for m, line in lines]
+    assert all(len(c) == len(set(c)) for c in got)
+    assert sorted(got) == sorted(want)
+
+
+def test_group_engine_translations_match_pairdp():
+    # the translates of an ordering put its longest runs at every offset of
+    # their cycles, where the scan's probe window must still find them
+    rnd = random.Random(17)
+    for text in ["cyclic:7", "cyclic:12", "cyclic:25", "cyclic:60", "abelian:4x8",
+                 "abelian:3x3x9"]:
+        spec = parse_set_spec(text)
+        engine = length_engine(spec)
+        maps = _regular_symmetries(spec)
+        perm = list(range(spec.cardinality))
+        for _ in range(4):
+            rnd.shuffle(perm)
+            want = longest_ap_pairdp(_ordering(spec, perm)).length
+            for row in maps:
+                image = [row[x] for x in perm]
+                assert engine.length_of_indices(image) == want, (text, image)
 
 
 def _chains(limit, depth, smallest=2):
