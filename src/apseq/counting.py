@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, mod
 from typing import Iterator, Optional
 
 from . import groups
@@ -295,8 +296,8 @@ def brute_force_profile(
                 cur = a
                 length = 1
                 while length < k_max:
-                    cur = tuple(x + y for x, y in zip(cur, r))
-                    if any(c < 1 or c > n for c in cur):
+                    cur = tuple(map(add, cur, r))
+                    if min(cur) < 1 or max(cur) > n:
                         break
                     length += 1
                 reach[length] += 1
@@ -375,6 +376,18 @@ def brute_force_count(
     return CountResult(counts[k], counts[k], BRUTE_FORCE, counts[k])
 
 
+def check_enum_cap(spec: AdditiveSetSpec, enum_cap: int) -> None:
+    """Raise CapExceeded when the set has more than enum_cap candidate
+    (base, step) pairs."""
+    card = spec.cardinality
+    if spec.family == INTERVAL:
+        n_pairs = card * ((2 * spec.n - 1) ** spec.d)
+    else:
+        n_pairs = card * card
+    if n_pairs > enum_cap:
+        raise CapExceeded(f"progression enumeration capped at {enum_cap} pairs")
+
+
 def iter_progressions(
     spec: AdditiveSetSpec, k: int, *, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple[APSpec, tuple]]:
@@ -384,38 +397,32 @@ def iter_progressions(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    card = spec.cardinality
+    check_enum_cap(spec, enum_cap)
+    elems = list(groups.elements(spec))
     if spec.family == INTERVAL:
-        n_pairs = card * ((2 * spec.n - 1) ** spec.d)
-    else:
-        n_pairs = card * card
-    if n_pairs > enum_cap:
-        raise CapExceeded(f"progression enumeration capped at {enum_cap} pairs")
-    if spec.family == INTERVAL:
+        n = spec.n
         for r in _interval_steps(spec):
-            for a in groups.elements(spec):
+            for a in elems:
                 terms = [a]
                 cur = a
-                ok = True
                 for _ in range(k - 1):
-                    cur = tuple(x + y for x, y in zip(cur, r))
-                    if not groups.is_valid_element(spec, cur):
-                        ok = False
+                    cur = tuple(map(add, cur, r))
+                    if min(cur) < 1 or max(cur) > n:
                         break
                     terms.append(cur)
-                if ok:
+                else:
                     yield APSpec(a, r, k), tuple(terms)
     else:
         ident = groups.identity(spec)
         moduli = spec.moduli
-        for r in groups.elements(spec):
+        for r in elems:
             if r == ident or groups.element_order(spec, r) < k:
                 continue
-            for a in groups.elements(spec):
+            for a in elems:
                 terms = [a]
                 cur = a
                 for _ in range(k - 1):
-                    cur = tuple((x + y) % m for x, y, m in zip(cur, r, moduli))
+                    cur = tuple(map(mod, map(add, cur, r), moduli))
                     terms.append(cur)
                 yield APSpec(a, r, k), tuple(terms)
 

@@ -1,25 +1,30 @@
 """Longest arithmetic subsequence of an ordering, by two independent
 algorithms, plus exact counting of k-term progression subsequences.
 
-The orbit walk scans, for every nonidentity step, the cycles of x -> x + step
-and finds the longest stretch of consecutive cycle nodes whose positions in
-the ordering strictly increase.  The pair DP keys chains of index pairs by
-their common difference.  Each algorithm is the other's oracle.
+Both algorithms take an ordering as canonical indices.  The walk engine of
+a set (length_engine) is built once per spec, for groups and interval boxes
+alike.  It keeps one step v of each pair {v, -v} and stores the lines of
+x -> x + v: the cycles of a group (walked once per cyclic subgroup), the
+maximal paths inside a box.  A rising run of positions along a line is a
+progression with step v, a falling run one with step -v.
+length_of_indices probes only every best-th comparison of a line (below
+m + best - 1 on a cycle of length m) and extends each probe both ways;
+witness then lists the runs of that many terms and returns the smallest
+(base index, step).  longest_ap_orbitwalk is that witness for groups.
 
-For many orderings of one set, length_engine builds a length-only walk
-engine once, for groups and interval boxes alike.  It keeps one step v of
-each pair {v, -v} and stores the lines of x -> x + v: the cycles of a group
-(walked once per cyclic subgroup), the maximal paths inside a box.
-A rising run of positions along a line is a progression with step v, a
-falling run one with step -v.  The scan probes only every best-th comparison
-of a line (below m + best - 1 on a cycle of length m) and extends each probe
-both ways.
-Every engine takes an ordering as its sequence of canonical indices, through
-length_of_indices; the pair DP is its oracle for every family.
+The pair DP keys chains of index pairs by their common difference, read for
+each position from a row of differences over all canonical indices; it
+uses no lines, cycles or closed forms, and is the engines' oracle for every
+family.
+
+N_k, the number of k-term progression subsequences, counts the tuples of
+progression_index_tuples, built from successor tables in groups and
+row-major strides in boxes, that appear in order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +39,9 @@ PAIR_DP_CAP = 5000
 # A group engine stores about |A|^2 line entries, its walks being doubled
 # (cyclic:5000: 24,967,500); a box stores fewer (interval:1000: 416,166).
 ENGINE_CAP = 5000
+# Most orderings one Monte Carlo experiment draws (simulate exits 2 above
+# it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
+SAMPLE_CAP = 10**7
 
 
 class Ordering:
@@ -121,68 +129,59 @@ def step_cycles(spec: AdditiveSetSpec, step_idx: int) -> list[list[int]]:
 
 
 def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
-    """Longest progression subsequence via per-step orbit walks.
+    """Longest progression subsequence of an ordering of a group, with the
+    witness of the group's walk engine.
 
-    Group families only; runs in time |A| * (number of steps).  Among
-    equal-length witnesses, the smallest (base index, step index) wins.
+    Among equal-length witnesses, the smallest (base index, step index)
+    wins.  Raises CapExceeded above ENGINE_CAP elements.
     """
     spec = ordering.spec
     if not spec.is_group:
         raise ValueError("orbit walk requires a group family; use the pair DP")
-    card = spec.cardinality
-    if card == 1:
-        return _singleton_result()
-    pos = ordering.positions()
-    best_len = 1
-    best_key = None  # (base_idx, step_idx)
-    for step_idx in range(1, card):
-        for cyc in step_cycles(spec, step_idx):
-            m = len(cyc)
-            if m < 2:
-                continue
-            walk = cyc + cyc[:-1]
-            run = 1
-            prev = pos[walk[0]]
-            for t in range(1, len(walk)):
-                cur = pos[walk[t]]
-                if cur > prev:
-                    run += 1
-                else:
-                    run = 1
-                prev = cur
-                if run >= best_len and run >= 2:
-                    base_idx = cyc[(t - run + 1) % m]
-                    key = (base_idx, step_idx)
-                    if run > best_len or best_key is None or key < best_key:
-                        best_len = run
-                        best_key = key
-    if best_key is None:
-        raise InternalInvariantError("no progression pair found in a set of size >= 2")
-    base_idx, step_idx = best_key
-    base = groups.element_at(spec, base_idx)
-    step = groups.element_at(spec, step_idx)
-    terms = counting.progression_terms(spec, counting.APSpec(base, step, best_len))
-    indices = tuple(pos[groups.canonical_index(spec, t)] for t in terms)
-    return LasResult(best_len, base, step, indices)
+    return _last_engine(spec).witness(ordering.indices)
 
 
-def _interval_diff_key(diff: tuple, n: int) -> int:
-    """Injective code for a lattice difference vector with entries in
-    [-(n-1), n-1]."""
-    key = 0
-    radix = 2 * n - 1
-    for c in diff:
-        if not -(n - 1) <= c <= n - 1:
-            raise InternalInvariantError(f"difference {diff} out of signed range")
-        key = key * radix + (c + n - 1)
-    return key
+@functools.lru_cache(maxsize=1)
+def _last_engine(spec: AdditiveSetSpec):
+    """The walk engine of the last set the orbit walk saw.  One at most: an
+    engine at ENGINE_CAP holds hundreds of MB."""
+    return length_engine(spec)
+
+
+def _diff_rows(spec: AdditiveSetSpec) -> list[tuple[int, list[int]]]:
+    """Per coordinate, (size, values) such that the pair-DP key of x - y
+    is the sum over coordinates of values[size - 1 - x_c + y_c], with x_c
+    and y_c the coordinates minus their smallest value."""
+    if spec.family == INTERVAL:
+        sizes = (spec.n,) * spec.d
+        weight_base = 2 * spec.n - 1
+    else:
+        sizes = spec.moduli
+    rows = []
+    weight = 1
+    for size in reversed(sizes):
+        if spec.family == INTERVAL:
+            # signed digit t = x_c - y_c, stored as t + n - 1 in radix 2n - 1
+            values = [(2 * size - 2 - i) * weight for i in range(2 * size - 1)]
+            weight *= weight_base
+        else:
+            values = [((size - 1 - i) % size) * weight for i in range(2 * size - 1)]
+            weight *= size
+        rows.append((size, values))
+    rows.reverse()
+    return rows
 
 
 def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResult:
     """Longest progression subsequence via the pair dynamic program.
 
-    Works for every family; differences for the interval family live in the
-    ambient lattice.  Quadratic time and memory in |A|.
+    Works for every family.  dp[j][key] is the length of the longest
+    progression ending at position j whose step has the given key: the
+    canonical index of the step in a group, and for an interval box the
+    lattice difference with coordinates shifted by n - 1 read in radix
+    2n - 1.  The keys of every pair (i, j) for one j are read from a row
+    over all canonical indices, built per coordinate like a successor
+    table.  Quadratic time and memory in |A|; no |A|^2 table is built.
     """
     spec = ordering.spec
     card = spec.cardinality
@@ -192,96 +191,119 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
         return _singleton_result()
 
     seq = ordering.seq
-    n_pos = len(seq)
-    is_interval = spec.family == INTERVAL
-    moduli = None if is_interval else spec.moduli
-
-    if is_interval:
-        def diff_key(j: int, i: int) -> int:
-            return _interval_diff_key(
-                tuple(a - b for a, b in zip(seq[j], seq[i])), spec.n
-            )
-    else:
-        def diff_key(j: int, i: int) -> int:
-            key = 0
-            for a, b, m in zip(seq[j], seq[i], moduli):
-                key = key * m + (a - b) % m
-            return key
-
-    dp: list[dict[int, int]] = [dict() for _ in range(n_pos)]
+    ids = ordering.indices
+    shift = 1 if spec.family == INTERVAL else 0
+    diff_rows = _diff_rows(spec)
+    dp: list[dict[int, int]] = [{}]
     best_len = 2
-    for j in range(1, n_pos):
-        dpj = dp[j]
-        for i in range(j):
-            key = diff_key(j, i)
-            prev = dp[i].get(key)
-            length = 2 if prev is None else prev + 1
-            dpj[key] = length
-            if length > best_len:
-                best_len = length
+    for j in range(1, card):
+        row = None
+        for x, (size, values) in zip(seq[j], diff_rows):
+            lo = size - 1 - x + shift
+            part = values[lo : lo + size]
+            row = part if row is None else [b + o for b in row for o in part]
+        dpj = {key: dpi.get(key, 1) + 1 for key, dpi in zip(map(row.__getitem__, ids[:j]), dp)}
+        dp.append(dpj)
+        top = max(dpj.values())
+        if top > best_len:
+            best_len = top
 
-    # Reconstruct the lexicographically smallest (base index, step key)
-    # witness among the chains of maximal length.
-    pos_of = {elem: where for where, elem in enumerate(seq)}
+    # The lexicographically smallest (base index, step key) among the
+    # chains of maximal length; the chain ending at j with step key is
+    # unique, and its base is seq[j] - (best_len - 1) * step.
+    if spec.family == INTERVAL:
+        radixes = (spec.n,) * spec.d
+    else:
+        radixes = spec.moduli
+    steps: dict[int, tuple] = {}
     best_key = None
-    best_chain = None
-    for j in range(n_pos):
-        for key, length in dp[j].items():
+    for j, dpj in enumerate(dp):
+        if not dpj or max(dpj.values()) != best_len:
+            continue
+        for key, length in dpj.items():
             if length != best_len:
                 continue
-            chain = [j]
-            cur = j
-            cur_key = key
-            while True:
-                prev_len = dp[cur].get(cur_key, 0)
-                if prev_len <= 2:
-                    break
-                step = _decode_step(spec, cur_key)
-                prev_elem = _subtract(spec, seq[cur], step)
-                cur = pos_of[prev_elem]
-                chain.append(cur)
-            step = _decode_step(spec, key)
-            first = _subtract(spec, seq[chain[-1]], step)
-            chain.append(pos_of[first])
-            chain.reverse()
-            base_idx = groups.canonical_index(spec, seq[chain[0]])
-            cand = (base_idx, key)
-            if best_key is None or cand < best_key:
-                best_key = cand
-                best_chain = chain
-    if best_chain is None:
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = _decode_step(spec, key)
+            base = _add(spec, seq[j], step, 1 - best_len)
+            base_idx = 0
+            for c, m in zip(base, radixes):
+                base_idx = base_idx * m + c - shift
+            if best_key is None or (base_idx, key) < best_key:
+                best_key = (base_idx, key)
+                best_base, best_step = base, step
+    if best_key is None:
         raise InternalInvariantError("pair DP found no chain in a set of size >= 2")
-    indices = tuple(best_chain)
-    base = seq[indices[0]]
-    step = _decode_step(spec, best_key[1])
-    return LasResult(best_len, base, step, indices)
+    pos_of = {x: where for where, x in enumerate(seq)}
+    indices = tuple(pos_of[_add(spec, best_base, best_step, t)] for t in range(best_len))
+    return LasResult(best_len, best_base, best_step, indices)
 
 
-def _decode_step(spec: AdditiveSetSpec, key: int):
+def _decode_step(spec: AdditiveSetSpec, key: int) -> tuple:
+    """The step whose pair-DP key is key."""
     if spec.family == INTERVAL:
-        radix = 2 * spec.n - 1
-        coords = []
-        for _ in range(spec.d):
-            key, c = divmod(key, radix)
-            coords.append(c - (spec.n - 1))
-        return tuple(reversed(coords))
-    return groups.element_at(spec, key)
+        radixes = (2 * spec.n - 1,) * spec.d
+        offset = spec.n - 1
+    else:
+        radixes = spec.moduli
+        offset = 0
+    coords = []
+    for m in reversed(radixes):
+        key, c = divmod(key, m)
+        coords.append(c - offset)
+    return tuple(reversed(coords))
 
 
-def _subtract(spec: AdditiveSetSpec, x: tuple, y: tuple) -> tuple:
+def _add(spec: AdditiveSetSpec, x: tuple, step: tuple, times: int) -> tuple:
+    """x + times * step."""
     if spec.family == INTERVAL:
-        return tuple(a - b for a, b in zip(x, y))
-    return tuple((a - b) % m for a, b, m in zip(x, y, spec.moduli))
+        return tuple(a + times * b for a, b in zip(x, step))
+    return tuple((a + times * b) % m for a, b, m in zip(x, step, spec.moduli))
 
 
 def progression_index_tuples(
     spec: AdditiveSetSpec, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
 ) -> tuple[tuple[int, ...], ...]:
-    """Every progression k-ordering of the set, as canonical-index tuples."""
-    return tuple(
-        tuple(groups.canonical_index(spec, t) for t in terms)
-        for _ap, terms in counting.iter_progressions(spec, k, enum_cap=enum_cap)
-    )
+    """Every progression k-ordering of the set, as canonical-index tuples,
+    step by step in the order of counting.iter_progressions.
+
+    A group step r counts when its first k - 1 multiples are nonzero, and
+    its tuples read the successor table of x -> x + r k - 1 times over.  A
+    box step v keeps the bases whose last term stays inside, a row-major
+    product of one range per coordinate, each tuple striding by v's index
+    delta.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    counting.check_enum_cap(spec, enum_cap)
+    card = spec.cardinality
+    out: list[tuple[int, ...]] = []
+    if spec.family != INTERVAL:
+        for r in itertools.product(*map(range, spec.moduli)):
+            succ = counting._succ_table(spec, r)
+            cols = [range(card)]
+            for _ in range(k - 1):
+                cols.append([*map(succ.__getitem__, cols[-1])])
+                if cols[-1][0] == 0:  # order of r below k
+                    break
+            else:
+                out += zip(*cols)
+        return tuple(out)
+    n, d = spec.n, spec.d
+    strides = [n ** (d - 1 - i) for i in range(d)]
+    reach = (n - 1) // (k - 1)  # no coordinate of a step moves further
+    origin = (0,) * d
+    for v in itertools.product(range(-reach, reach + 1), repeat=d):
+        if v == origin:
+            continue
+        bases = [0]
+        for c, s in zip(v, strides):
+            span = range(max(0, -(k - 1) * c), min(n, n - (k - 1) * c))
+            bases = [b + x * s for b in bases for x in span]
+        delta = sum(c * s for c, s in zip(v, strides))
+        out += zip(*[[b + t * delta for b in bases] for t in range(k)])
+    return tuple(out)
 
 
 def count_in_order(progs, idx_seq: Sequence[int]) -> int:
@@ -291,6 +313,18 @@ def count_in_order(progs, idx_seq: Sequence[int]) -> int:
     for where, idx in enumerate(idx_seq):
         pos[idx] = where
     count = 0
+    k = len(progs[0]) if progs else 0
+    # k = 3 (is_three_free) and k = 4: one unpacked, chained compare per tuple
+    if k == 3:
+        for a, b, c in progs:
+            if pos[a] < pos[b] < pos[c]:
+                count += 1
+        return count
+    if k == 4:
+        for a, b, c, e in progs:
+            if pos[a] < pos[b] < pos[c] < pos[e]:
+                count += 1
+        return count
     for terms in progs:
         p = pos[terms[0]]
         for t in terms[1:]:
@@ -378,6 +412,89 @@ def _longest_run(lines, pos: Sequence[int]) -> int:
     return best
 
 
+def _monotone_runs(line, pos: Sequence[int], size: int):
+    """(lo, hi, rising) for every run of exactly size >= 3 terms along the
+    line whose positions rise or fall, given that no run is longer.
+
+    A run of size terms is size - 1 consecutive comparisons in one
+    direction, so probes size - 1 comparisons apart meet every such run.
+    Each probe is extended both ways while the direction holds, and the next
+    probe is the last comparison of a run that starts where this one ends.
+    """
+    last = len(line) - 1
+    t = size - 2  # comparison t joins terms t and t + 1
+    while t < last:
+        lo = t
+        hi = t + 1
+        a = pos[line[lo]]
+        b = pos[line[hi]]
+        rising = a < b
+        if rising:
+            while hi < last and pos[line[hi + 1]] > b:
+                hi += 1
+                b = pos[line[hi]]
+            while lo and pos[line[lo - 1]] < a:
+                lo -= 1
+                a = pos[line[lo]]
+        else:
+            while hi < last and pos[line[hi + 1]] < b:
+                hi += 1
+                b = pos[line[hi]]
+            while lo and pos[line[lo - 1]] > a:
+                lo -= 1
+                a = pos[line[lo]]
+        if hi - lo + 1 == size:
+            yield lo, hi, rising
+        t = hi + size - 2
+
+
+def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
+    """Longest progression of the ordering idx_seq with its witness: among
+    equal lengths the smallest (base index, step) wins, steps compared as
+    coordinate tuples (for a group, in the order of their canonical
+    indices).
+
+    A rising run along a line with step v is the progression with step v
+    from the run's first term; a falling run is the one with step -v from
+    the run's last term.  Each line's step is read from its first two
+    terms.  Length 2 needs no lines: the smallest base is the smallest
+    index not listed last, paired with the smallest step to an element
+    listed after it.
+    """
+    spec = engine.spec
+    if engine.card == 1:
+        return _singleton_result()
+    pos = engine._pos
+    for where, idx in enumerate(idx_seq):
+        pos[idx] = where
+    best = _longest_run(engine.lines, pos)
+    step_of = engine.step_between
+    if best == 2:
+        base = 0 if idx_seq[-1] != 0 else 1
+        step, last = min((step_of(base, y), y) for y in idx_seq[pos[base] + 1 :])
+        return LasResult(2, groups.element_at(spec, base), step, (pos[base], pos[last]))
+    best_key = None
+    for m, line in engine.lines:
+        if m < best:
+            break
+        steps = None
+        for lo, hi, rising in _monotone_runs(line, pos, best):
+            base = line[lo] if rising else line[hi]
+            if best_key is not None and base > best_key[0]:
+                continue
+            if steps is None:
+                v = step_of(line[0], line[1])
+                steps = (v, step_of(line[1], line[0]))
+            key = (base, steps[0] if rising else steps[1])
+            if best_key is None or key < best_key:
+                best_key = key
+                terms = line[lo : hi + 1]
+    if best_key is None:
+        raise InternalInvariantError(f"no run of {best} terms found on a line")
+    indices = tuple(sorted(map(pos.__getitem__, terms)))
+    return LasResult(best, groups.element_at(spec, best_key[0]), best_key[1], indices)
+
+
 class GroupLengthEngine:
     """Length-only walk engine, reusable across many orderings of one group
     spec.
@@ -435,6 +552,20 @@ class GroupLengthEngine:
             pos[idx] = where
         return self.length_of_positions(pos)
 
+    def step_between(self, a: int, b: int) -> tuple:
+        """Coordinates of the step from the element of index a to that of b."""
+        out = []
+        for m in reversed(self.spec.moduli):
+            a, x = divmod(a, m)
+            b, y = divmod(b, m)
+            out.append((y - x) % m)
+        return tuple(reversed(out))
+
+    def witness(self, idx_seq: Sequence[int]) -> LasResult:
+        """The LasResult of the ordering listing canonical indices idx_seq;
+        see _engine_witness."""
+        return _engine_witness(self, idx_seq)
+
 
 class IntervalLengthEngine:
     """Length-only walk engine for interval boxes, on canonical index
@@ -484,6 +615,21 @@ class IntervalLengthEngine:
         for where, idx in enumerate(idx_seq):
             pos[idx] = where
         return _longest_run(self.lines, pos)
+
+    def step_between(self, a: int, b: int) -> tuple:
+        """Coordinates of the lattice step from the point of index a to that of b."""
+        n = self.spec.n
+        out = []
+        for _ in range(self.spec.d):
+            a, x = divmod(a, n)
+            b, y = divmod(b, n)
+            out.append(y - x)
+        return tuple(reversed(out))
+
+    def witness(self, idx_seq: Sequence[int]) -> LasResult:
+        """The LasResult of the ordering listing canonical indices idx_seq;
+        see _engine_witness."""
+        return _engine_witness(self, idx_seq)
 
 
 def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:

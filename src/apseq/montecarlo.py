@@ -15,6 +15,7 @@ import multiprocessing
 from dataclasses import dataclass
 
 from . import asymptotics, counting, las
+from .errors import CapExceeded
 from .groups import AdditiveSetSpec
 
 _M64 = (1 << 64) - 1
@@ -100,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > las.SAMPLE_CAP:
+            raise CapExceeded(f"samples capped at {las.SAMPLE_CAP}")
 
 
 @dataclass(frozen=True)

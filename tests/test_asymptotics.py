@@ -10,7 +10,6 @@ from apseq.asymptotics import (
     log_gamma,
     solve_threshold,
 )
-from apseq.errors import InternalInvariantError
 from apseq.groups import abelian, cyclic, elementary, interval_box
 
 
@@ -103,11 +102,14 @@ def test_threshold_rejects_abelian():
         solve_threshold(abelian(2, 4))
 
 
-def test_threshold_no_root_for_small_lattice():
-    # counts exceed the factorial on the whole admissible range; the solver
-    # reports this as an internal error rather than inventing a root
-    with pytest.raises(InternalInvariantError):
-        solve_threshold(interval_box(3, 2))
+def test_threshold_clamps_past_k_max_for_small_lattice():
+    # counts exceed the factorial on the whole admissible range, so the root
+    # lies past k_max = n and the window clamps there
+    for n, d in [(3, 2), (3, 3), (4, 3), (5, 3)]:
+        thr = solve_threshold(interval_box(n, d))
+        assert thr.boundary_clamped
+        assert thr.window == (n, n)
+        assert thr.value == n
 
 
 def test_smooth_mode_interval():

@@ -244,11 +244,48 @@ def test_enumerate_unwritable_cache_warns(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_internal_error_exit_code():
-    # lattice family with counts above the factorial on the whole range
-    proc = run_cli("predict", "--set", "interval:3,2")
-    assert proc.returncode == 3
-    assert "internal error" in proc.stderr
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a row that differs from the golden table is a failed invariant
+    monkeypatch.setattr(cli, "_golden_rows", lambda family: {1: [1], 2: [0, 3]})
+    code, _, err = run_main(capsys, "tables", "--family", "cyclic", "--max-n", "2")
+    assert code == 3
+    assert "internal error" in err
+
+
+@pytest.mark.parametrize("box", ["3,2", "3,3", "4,3", "5,3"])
+def test_predict_small_box_clamps_to_k_max(box, capsys):
+    # count(n) > n! for these boxes, so the root lies past k_max = n
+    n = int(box.split(",")[0])
+    code, out, _ = run_main(capsys, "predict", "--set", f"interval:{box}", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == [n, n]
+    assert result["boundary_clamped"] is True
+
+
+def test_simulate_above_sample_cap_exit_code(capsys, monkeypatch):
+    from apseq import las
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started above the cap")
+
+    monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
+    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:10", "--samples",
+                              str(las.SAMPLE_CAP + 1), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err
+    proc = run_cli("simulate", "--set", "cyclic:10", "--samples", "1000000000000", "--seed", "1")
+    assert proc.returncode == 2
+
+
+def test_las_orbit_above_engine_cap_exit_code(capsys):
+    seq = ",".join(map(str, range(5001)))
+    code, out, err = run_main(capsys, "las", "--set", "cyclic:5001", "--sequence", seq,
+                              "--algorithm", "orbit")
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err
 
 
 def test_data_stream_is_pure_json():

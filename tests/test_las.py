@@ -5,6 +5,7 @@ import random
 import pytest
 
 from apseq import groups
+from apseq.counting import iter_progressions
 from apseq.errors import CapExceeded
 from apseq.groups import abelian, cyclic, elementary, interval_box, parse_set_spec
 from apseq.las import (
@@ -14,6 +15,7 @@ from apseq.las import (
     length_engine,
     longest_ap_orbitwalk,
     longest_ap_pairdp,
+    progression_index_tuples,
     step_cycles,
 )
 
@@ -189,16 +191,65 @@ def test_algorithms_agree_randomized():
 
 
 def test_witnesses_agree_between_algorithms():
+    # the full LasResult: length, base, step and positions
+    for spec in [cyclic(n) for n in range(1, 8)] + [abelian(2, 2)]:
+        for perm in itertools.permutations(range(spec.cardinality)):
+            o = _ordering(spec, perm)
+            assert longest_ap_orbitwalk(o) == longest_ap_pairdp(o), (spec, perm)
     rnd = random.Random(99)
-    for spec in [cyclic(10), abelian(2, 6)]:
-        card = spec.cardinality
-        indices = list(range(card))
-        for _ in range(30):
+    seeded = [cyclic(10), abelian(2, 6), abelian(2, 4), abelian(2, 2, 2), cyclic(8),
+              cyclic(60), abelian(2, 6, 12)]
+    for spec in seeded:
+        indices = list(range(spec.cardinality))
+        for _ in range(50):
             rnd.shuffle(indices)
             o = _ordering(spec, indices)
-            a = longest_ap_orbitwalk(o)
-            b = longest_ap_pairdp(o)
-            assert (a.length, a.base, a.step) == (b.length, b.base, b.step)
+            assert longest_ap_orbitwalk(o) == longest_ap_pairdp(o), (spec, indices)
+
+
+@pytest.mark.parametrize(
+    "text", ["interval:1", "interval:2", "interval:9", "interval:40", "interval:2,2",
+             "interval:4,2", "interval:3,3"]
+)
+def test_interval_engine_witness_matches_pairdp(text):
+    # the same tie-break: smallest base index, then smallest step (the
+    # pair DP's key orders lattice steps lexicographically)
+    spec = parse_set_spec(text)
+    engine = length_engine(spec)
+    rnd = random.Random(5)
+    indices = list(range(spec.cardinality))
+    for _ in range(40):
+        rnd.shuffle(indices)
+        assert engine.witness(indices) == longest_ap_pairdp(_ordering(spec, indices))
+
+
+def test_orbitwalk_cap():
+    with pytest.raises(CapExceeded):
+        longest_ap_orbitwalk(_ordering(cyclic(ENGINE_CAP + 1), range(ENGINE_CAP + 1)))
+
+
+def _k_max(spec):
+    return spec.n if spec.family == groups.INTERVAL else spec.exponent
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [interval_box(n) for n in range(2, 13)]
+    + [interval_box(n, 2) for n in range(2, 7)]
+    + [interval_box(n, 3) for n in range(2, 5)]
+    + [cyclic(n) for n in range(2, 21)]
+    + [abelian(2, 4), abelian(3, 9), abelian(2, 2, 2), elementary(3, 2)],
+    ids=str,
+)
+def test_progression_index_tuples_match_iter_progressions(spec):
+    for k in range(2, _k_max(spec) + 1):
+        got = progression_index_tuples(spec, k)
+        want = {
+            tuple(groups.canonical_index(spec, t) for t in terms)
+            for _ap, terms in iter_progressions(spec, k)
+        }
+        assert len(set(got)) == len(got), (spec, k)
+        assert set(got) == want, (spec, k)
 
 
 def test_length_engines_match_public_algorithms():
