@@ -138,9 +138,9 @@ def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdRes
 
     The difference is strictly decreasing, so bisection converges; if it is
     already nonpositive at x = 2 the result clamps to 2, and if it is still
-    positive at the largest k with a positive count, to that k.  For the elementary
-    family the count is constant in k and the equation inverts log-gamma
-    directly.
+    positive at the largest k with a positive count (small boxes), it clamps
+    to that k.  For the elementary family the count is constant in k and the
+    equation inverts log-gamma directly.
     """
     if spec.family == ABELIAN:
         raise ValueError("thresholds are defined for interval, cyclic, and "
@@ -173,9 +173,10 @@ def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdRes
     else:
         f_hi = f(hi)
         if f_hi >= 0:
-            # a root at k_max, or past it (small boxes): clamp to (k_max, k_max)
-            clamped = abs(f_hi) > RESIDUAL_TOL
-            return ThresholdResult(hi, _window(hi), str(spec), clamped, asym, abs(f_hi), mode)
+            clamped = abs(f_hi) > RESIDUAL_TOL  # the root lies past k_max
+            return ThresholdResult(
+                hi, _window(hi), str(spec), clamped, asym, abs(f_hi), mode
+            )
     value = _bisect(f, 2.0, hi)
     value = _snap_to_integer(value, f, 2.0, hi)
     residual = abs(f(value))

@@ -148,28 +148,25 @@ def _last_engine(spec: AdditiveSetSpec):
     return length_engine(spec)
 
 
-def _diff_rows(spec: AdditiveSetSpec) -> list[tuple[int, list[int]]]:
-    """Per coordinate, (size, values) such that the pair-DP key of x - y
-    is the sum over coordinates of values[size - 1 - x_c + y_c], with x_c
-    and y_c the coordinates minus their smallest value."""
-    if spec.family == INTERVAL:
-        sizes = (spec.n,) * spec.d
-        weight_base = 2 * spec.n - 1
-    else:
-        sizes = spec.moduli
+def _radixes(spec: AdditiveSetSpec) -> tuple[int, ...]:
+    """Per coordinate, the number of values it takes (row-major order)."""
+    return (spec.n,) * spec.d if spec.family == INTERVAL else spec.moduli
+
+
+def _diff_rows(spec: AdditiveSetSpec) -> list[list[int]]:
+    """Per coordinate of size m, a row of 2m - 1 values such that the
+    pair-DP key of x - y is the sum over coordinates of
+    row[m - 1 - x_c + y_c], with x_c and y_c counted from 0."""
+    interval = spec.family == INTERVAL
     rows = []
     weight = 1
-    for size in reversed(sizes):
-        if spec.family == INTERVAL:
-            # signed digit t = x_c - y_c, stored as t + n - 1 in radix 2n - 1
-            values = [(2 * size - 2 - i) * weight for i in range(2 * size - 1)]
-            weight *= weight_base
-        else:
-            values = [((size - 1 - i) % size) * weight for i in range(2 * size - 1)]
-            weight *= size
-        rows.append((size, values))
-    rows.reverse()
-    return rows
+    for m in reversed(_radixes(spec)):
+        diffs = range(m - 1, -m, -1)  # x_c - y_c
+        # a box's signed digit is stored as x_c - y_c + m - 1, in radix 2m - 1
+        digits = [t + m - 1 for t in diffs] if interval else [t % m for t in diffs]
+        rows.append([g * weight for g in digits])
+        weight *= 2 * m - 1 if interval else m
+    return rows[::-1]
 
 
 def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResult:
@@ -192,17 +189,19 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
 
     seq = ordering.seq
     ids = ordering.indices
-    shift = 1 if spec.family == INTERVAL else 0
-    diff_rows = _diff_rows(spec)
+    shift = 1 if spec.family == INTERVAL else 0  # box coordinates start at 1
+    radixes = _radixes(spec)
+    diff_rows = list(zip(radixes, _diff_rows(spec)))
     dp: list[dict[int, int]] = [{}]
     best_len = 2
     for j in range(1, card):
         row = None
-        for x, (size, values) in zip(seq[j], diff_rows):
-            lo = size - 1 - x + shift
-            part = values[lo : lo + size]
+        for x, (m, values) in zip(seq[j], diff_rows):
+            lo = m - 1 - x + shift
+            part = values[lo : lo + m]
             row = part if row is None else [b + o for b in row for o in part]
-        dpj = {key: dpi.get(key, 1) + 1 for key, dpi in zip(map(row.__getitem__, ids[:j]), dp)}
+        keys = map(row.__getitem__, ids[:j])
+        dpj = {key: dpi.get(key, 1) + 1 for key, dpi in zip(keys, dp)}
         dp.append(dpj)
         top = max(dpj.values())
         if top > best_len:
@@ -211,10 +210,6 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
     # The lexicographically smallest (base index, step key) among the
     # chains of maximal length; the chain ending at j with step key is
     # unique, and its base is seq[j] - (best_len - 1) * step.
-    if spec.family == INTERVAL:
-        radixes = (spec.n,) * spec.d
-    else:
-        radixes = spec.moduli
     steps: dict[int, tuple] = {}
     best_key = None
     for j, dpj in enumerate(dp):
@@ -314,7 +309,7 @@ def count_in_order(progs, idx_seq: Sequence[int]) -> int:
         pos[idx] = where
     count = 0
     k = len(progs[0]) if progs else 0
-    # k = 3 (is_three_free) and k = 4: one unpacked, chained compare per tuple
+    # the common k = 3 and 4: one unpacked, chained compare per tuple
     if k == 3:
         for a, b, c in progs:
             if pos[a] < pos[b] < pos[c]:
@@ -468,7 +463,18 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
     for where, idx in enumerate(idx_seq):
         pos[idx] = where
     best = _longest_run(engine.lines, pos)
-    step_of = engine.step_between
+    interval = spec.family == INTERVAL
+    radixes = _radixes(spec)
+
+    def step_of(a: int, b: int) -> tuple:
+        # coordinates of the step from the element of index a to that of b
+        out = []
+        for m in reversed(radixes):
+            a, x = divmod(a, m)
+            b, y = divmod(b, m)
+            out.append(y - x if interval else (y - x) % m)
+        return tuple(reversed(out))
+
     if best == 2:
         base = 0 if idx_seq[-1] != 0 else 1
         step, last = min((step_of(base, y), y) for y in idx_seq[pos[base] + 1 :])
@@ -483,8 +489,7 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
             if best_key is not None and base > best_key[0]:
                 continue
             if steps is None:
-                v = step_of(line[0], line[1])
-                steps = (v, step_of(line[1], line[0]))
+                steps = (step_of(line[0], line[1]), step_of(line[1], line[0]))
             key = (base, steps[0] if rising else steps[1])
             if best_key is None or key < best_key:
                 best_key = key
@@ -496,8 +501,7 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
 
 
 class GroupLengthEngine:
-    """Length-only walk engine, reusable across many orderings of one group
-    spec.
+    """Walk engine, reusable across many orderings of one group spec.
 
     The build keeps one step v of each pair {v, -v} of order at least 3 and
     stores each cycle of x -> x + v walked as cyc + cyc[:-1], so every
@@ -509,7 +513,8 @@ class GroupLengthEngine:
 
     length_of_indices(idx_seq) fills the engine's position buffer from the
     canonical-index sequence and scans it with length_of_positions(pos),
-    where pos[canonical index] = position in the ordering.
+    where pos[canonical index] = position in the ordering.  witness(idx_seq)
+    returns the LasResult (see _engine_witness).
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -552,30 +557,17 @@ class GroupLengthEngine:
             pos[idx] = where
         return self.length_of_positions(pos)
 
-    def step_between(self, a: int, b: int) -> tuple:
-        """Coordinates of the step from the element of index a to that of b."""
-        out = []
-        for m in reversed(self.spec.moduli):
-            a, x = divmod(a, m)
-            b, y = divmod(b, m)
-            out.append((y - x) % m)
-        return tuple(reversed(out))
-
-    def witness(self, idx_seq: Sequence[int]) -> LasResult:
-        """The LasResult of the ordering listing canonical indices idx_seq;
-        see _engine_witness."""
-        return _engine_witness(self, idx_seq)
+    witness = _engine_witness
 
 
 class IntervalLengthEngine:
-    """Length-only walk engine for interval boxes, on canonical index
-    sequences.
+    """Walk engine for interval boxes, on canonical index sequences.
 
     The build keeps one step v of each pair {v, -v} (first nonzero
     coordinate positive) with every |v_i| <= (n - 1) / 2, and stores each
     maximal path x, x + v, ... inside the box with at least 3 terms, as the
-    row-major indices from x in strides of v's index delta.  The scan is the
-    group engine's.
+    row-major indices from x in strides of v's index delta.  The scan and
+    the witness are the group engine's.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -616,20 +608,7 @@ class IntervalLengthEngine:
             pos[idx] = where
         return _longest_run(self.lines, pos)
 
-    def step_between(self, a: int, b: int) -> tuple:
-        """Coordinates of the lattice step from the point of index a to that of b."""
-        n = self.spec.n
-        out = []
-        for _ in range(self.spec.d):
-            a, x = divmod(a, n)
-            b, y = divmod(b, n)
-            out.append(y - x)
-        return tuple(reversed(out))
-
-    def witness(self, idx_seq: Sequence[int]) -> LasResult:
-        """The LasResult of the ordering listing canonical indices idx_seq;
-        see _engine_witness."""
-        return _engine_witness(self, idx_seq)
+    witness = _engine_witness
 
 
 def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:
@@ -663,9 +642,10 @@ def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:
 
 
 def length_engine(spec: AdditiveSetSpec):
-    """Length-only walk engine for the family, built once per spec:
+    """Walk engine for the family, built once per spec:
     engine.length_of_indices(idx_seq) is the longest progression length of
-    the ordering listing the canonical indices idx_seq.  Raises CapExceeded
+    the ordering listing the canonical indices idx_seq, and
+    engine.witness(idx_seq) its LasResult.  Raises CapExceeded
     above ENGINE_CAP elements, before any table is built."""
     if spec.family == INTERVAL:
         return IntervalLengthEngine(spec)
