@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from apseq import cli
+from apseq import cli, las
 
 
 def run_cli(*argv):
@@ -264,8 +264,6 @@ def test_predict_small_box_clamps_to_k_max(box, capsys):
 
 
 def test_simulate_above_sample_cap_exit_code(capsys, monkeypatch):
-    from apseq import las
-
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started above the cap")
 
