@@ -11,7 +11,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -59,53 +58,77 @@ def _prefix_worker(args) -> list[int]:
     return _tally_serial(spec, _perms_with_prefix(spec.cardinality, prefix))
 
 
-def _reflection_canonical(perm, n: int) -> bool:
-    # Accept the representative of each orbit under value reflection
-    # v -> n-1-v (0-based); the first non-self-paired entry decides.
-    for v in perm:
-        mirrored = n - 1 - v
-        if v < mirrored:
-            return True
-        if v > mirrored:
-            return False
-    return True
-
-
 def _tally_interval_reduced(spec: AdditiveSetSpec) -> list[int]:
+    # Reflection v -> n-1-v and reversal generate a group of order 4, which
+    # acts on the end pairs (first a, last b) as (a, b), (b, a),
+    # (n-1-a, n-1-b), (n-1-b, n-1-a).  Each orbit meets the end pairs with
+    # a < b and a + b <= n - 1 in one ordering (weight 4) when a + b < n - 1;
+    # when a + b = n - 1 the pair is fixed by reflection after reversal, and
+    # the orbit holds two such orderings or one that map fixes (weight 2).
     n = spec.cardinality
-    perms = (
-        perm
-        for perm in itertools.permutations(range(n))
-        if _reflection_canonical(perm, n)
-    )
-    return [2 * c for c in _tally_serial(spec, perms)]
-
-
-def _unit_canonical(tail, unit_rows) -> bool:
-    # tail follows a leading 0, which every unit fixes; accept iff (0,) + tail
-    # is lexicographically minimal among its images under multiplication by
-    # units.
-    for row in unit_rows:
-        for v in tail:
-            image = row[v]
-            if image < v:
-                return False
-            if image > v:
-                break
-    return True
+    length_of = las.length_engine(spec).length_of_indices
+    four, two = [0] * (n + 1), [0] * (n + 1)
+    for a in range(n):
+        for b in range(a + 1, n - a):
+            counts = four if a + b < n - 1 else two
+            rest = [v for v in range(n) if v != a and v != b]
+            for mid in itertools.permutations(rest):
+                counts[length_of((a, *mid, b))] += 1
+    return [4 * c4 + 2 * c2 for c4, c2 in zip(four, two)]
 
 
 def _tally_cyclic_reduced(spec: AdditiveSetSpec) -> list[int]:
+    # The maps x -> u*x + t (u a unit), with or without reversal, form a
+    # group of order 2n*phi(n); only a reversing map can fix an ordering.
+    # Translation puts 0 first, and a unit then takes the last term l to
+    # e = gcd(l, n).  What still acts on the orderings s from 0 to e is
+    # K = S_e x {1, R'}, where S_e holds the units fixing e and
+    # R's = e - reversed(s).  One lexicographic minimum per K-orbit is
+    # scanned; its orbit has 2n*phi(n) orderings, or half as many when a
+    # reversing map fixes it.  The second terms of its images u*s and u*R's
+    # decide most end pairs (a, b) for every middle at once.
     n = spec.cardinality
-    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
-    unit_rows = [[(u * v) % n for v in range(n)] for u in units]
-    perms = (
-        (0,) + tail
-        for tail in itertools.permutations(range(1, n))
-        if _unit_canonical(tail, unit_rows)
-    )
-    orbit = n * totient(n)
-    return [orbit * c for c in _tally_serial(spec, perms)]
+    if n <= 3:
+        return _tally_serial(spec, itertools.permutations(range(n)))
+    length_of = las.length_engine(spec).length_of_indices
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    free, fixed = [0] * (n + 1), [0] * (n + 1)
+    for e in groups.divisors(n)[:-1]:
+        stab = [u for u in units if u * e % n == e]
+        inner = [v for v in range(1, n) if v != e]
+        for a in inner:
+            for b in inner:
+                if a == b:
+                    continue
+                # second terms of the images u*s (u != 1) and u*R's
+                images = [(u * a % n, False, u) for u in stab if u != 1]
+                images += [((e - u * b) % n, True, u) for u in stab]
+                low = min(second for second, _, _ in images)
+                if a > low:
+                    continue
+                rest = [v for v in inner if v != a and v != b]
+                if a < low:
+                    for mid in itertools.permutations(rest):
+                        free[length_of((0, a, *mid, b, e))] += 1
+                    continue
+                tied = [
+                    (rev, [(e - u * x) % n if rev else u * x % n for x in range(n)])
+                    for second, rev, u in images
+                    if second == a
+                ]
+                for mid in itertools.permutations(rest):
+                    seq = (0, a, *mid, b, e)
+                    stabilised = False
+                    for rev, row in tied:
+                        image = tuple(map(row.__getitem__, seq[::-1] if rev else seq))
+                        if image < seq:
+                            break
+                        stabilised = stabilised or image == seq
+                    else:
+                        counts = fixed if stabilised else free
+                        counts[length_of(seq)] += 1
+    orbit = 2 * n * totient(n)
+    return [orbit * c + orbit // 2 * f for c, f in zip(free, fixed)]
 
 
 def distribution(
@@ -119,9 +142,17 @@ def distribution(
     """Tally the longest-progression length over all |A|! orderings.
 
     Enumeration is lexicographic on canonical indices.  Symmetry reduction
-    (interval and cyclic families only) enumerates orbit representatives
-    under the value-affine symmetries and multiplies; it is opt-in and is
-    validated against unreduced enumeration in the test suite.
+    (interval and cyclic families only) scans one representative per orbit
+    and counts it with its orbit's size.  Reversal keeps L, and so do
+    reflection v -> n+1-v on [1, n] (a group of order 4 with reversal) and
+    the maps x -> u*x + t of Z/nZ, u a unit (order 2n*phi(n) with
+    reversal).  An interval ordering is kept when its first term a and last
+    term b have a < b and a + b <= n + 1, with weight 4, or weight 2 when
+    a + b = n + 1.  A cyclic ordering is kept when it runs from 0 to a
+    divisor e of n and is the lexicographic minimum of its images that do
+    the same, with weight 2n*phi(n), halved when one of them is itself.
+    The reduction is opt-in and is validated against unreduced enumeration
+    in the test suite.
     """
     card = spec.cardinality
     limit = budget if budget is not None else (
@@ -148,6 +179,8 @@ def distribution(
         prefixes = [
             (i, j) for i in range(card) for j in range(card) if i != j
         ]
+        import multiprocessing  # only here: importing it slows every CLI start
+
         with multiprocessing.Pool(parallel) as pool:
             partials = pool.map(
                 _prefix_worker, [(spec, prefix) for prefix in prefixes]

@@ -45,9 +45,11 @@ SAMPLE_CAP = 10**7
 
 
 class Ordering:
-    """A sequence listing every element of the set exactly once."""
+    """A sequence listing every element of the set exactly once: seq holds
+    the elements, indices their canonical indices.  An ordering made
+    from_indices keeps the indices and converts seq on first use."""
 
-    __slots__ = ("spec", "seq", "indices")
+    __slots__ = ("spec", "indices", "_seq")
 
     def __init__(self, spec: AdditiveSetSpec, seq):
         seq = tuple(tuple(x) for x in seq)
@@ -59,12 +61,31 @@ class Ordering:
         if len(set(indices)) != len(indices):
             raise ValueError("ordering repeats an element")
         self.spec = spec
-        self.seq = seq
         self.indices = indices
+        self._seq = seq
 
     @classmethod
     def from_indices(cls, spec: AdditiveSetSpec, indices) -> "Ordering":
-        return cls(spec, [groups.element_at(spec, i) for i in indices])
+        card = spec.cardinality
+        indices = tuple(indices)
+        for i in indices:
+            if not (isinstance(i, int) and 0 <= i < card):
+                raise ValueError(f"index {i} out of range for {spec}")
+        if len(indices) != card:
+            raise ValueError(f"ordering must list all {card} elements, got {len(indices)}")
+        if len(set(indices)) != card:
+            raise ValueError("ordering repeats an element")
+        ordering = cls.__new__(cls)
+        ordering.spec = spec
+        ordering.indices = indices
+        ordering._seq = None
+        return ordering
+
+    @property
+    def seq(self) -> tuple:
+        if self._seq is None:
+            self._seq = tuple(groups.element_at(self.spec, i) for i in self.indices)
+        return self._seq
 
     def positions(self) -> list[int]:
         """positions()[canonical index] = position of that element in seq."""
@@ -74,17 +95,17 @@ class Ordering:
         return pos
 
     def __len__(self) -> int:
-        return len(self.seq)
+        return len(self.indices)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Ordering)
             and self.spec == other.spec
-            and self.seq == other.seq
+            and self.indices == other.indices
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.seq))
+        return hash((self.spec, self.indices))
 
     def __repr__(self) -> str:
         return f"Ordering({self.spec}, {list(self.indices)})"

@@ -11,7 +11,6 @@ workers.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 from . import asymptotics, counting, las
@@ -134,6 +133,8 @@ def _map_chunks(worker, config: ExperimentConfig, parallel: int | None, *extra) 
         return [worker((spec, seed, 0, m, *extra))]
     size = (m + parallel - 1) // parallel
     jobs = [(spec, seed, a, min(a + size, m), *extra) for a in range(0, m, size)]
+    import multiprocessing  # only here: importing it slows every CLI start
+
     with multiprocessing.Pool(parallel) as pool:
         return pool.map(worker, jobs)
 

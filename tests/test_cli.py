@@ -292,6 +292,17 @@ def test_data_stream_is_pure_json():
     json.loads(proc.stdout)
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, apseq.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cache_dir_env(tmp_path):
     import os
 

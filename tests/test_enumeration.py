@@ -3,6 +3,7 @@ import math
 import pytest
 
 from apseq import groups, las
+from apseq.cli import _golden_rows
 from apseq.enumeration import (
     construct_three_free,
     distribution,
@@ -76,7 +77,7 @@ def test_budget_cap():
 
 
 def test_symmetry_reduction_matches_unreduced():
-    for n in range(2, 8):
+    for n in range(2, 9):
         assert (
             distribution(interval_box(n), symmetry_reduction=True).row()
             == distribution(interval_box(n)).row()
@@ -85,6 +86,34 @@ def test_symmetry_reduction_matches_unreduced():
             distribution(cyclic(n), symmetry_reduction=True).row()
             == distribution(cyclic(n)).row()
         )
+
+
+@pytest.mark.parametrize("text", ["interval:9", "cyclic:9", "cyclic:10"])
+def test_symmetry_reduction_matches_golden(text):
+    spec = groups.parse_set_spec(text)
+    row = distribution(spec, symmetry_reduction=True).row()
+    golden = _golden_rows(spec.family)[spec.n]
+    assert row + [0] * (len(golden) - len(row)) == golden
+
+
+# Orbit representatives scanned per set: interval:9 has 9!/4 orbits under
+# reflection and reversal, cyclic:10 about 10!/80 under the affine maps and
+# reversal.  A reduction that drops reversal scans twice as many.
+@pytest.mark.parametrize("text, most", [("interval:9", 103_680), ("cyclic:10", 47_628)])
+def test_symmetry_reduction_scan_count(text, most, monkeypatch):
+    spec = groups.parse_set_spec(text)
+    engine_cls = type(las.length_engine(spec))
+    scan = engine_cls.length_of_indices
+    calls = []
+
+    def counted(self, idx_seq):
+        calls.append(1)
+        return scan(self, idx_seq)
+
+    monkeypatch.setattr(engine_cls, "length_of_indices", counted)
+    table = distribution(spec, symmetry_reduction=True)
+    assert sum(table.row()) == math.factorial(spec.n)
+    assert len(calls) <= most
 
 
 def test_symmetry_reduction_unsupported_family():

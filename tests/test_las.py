@@ -39,6 +39,33 @@ def test_ordering_validation():
         Ordering(cyclic(3), [(0,), (1,), (3,)])
 
 
+def test_from_indices_equals_ordering_of_elements():
+    specs = [interval_box(1), interval_box(5), interval_box(3, 2), cyclic(2), cyclic(7),
+             abelian(2, 4), elementary(3, 2)]
+    rng = random.Random(5)
+    for spec in specs:
+        for _ in range(3):
+            idx = list(range(spec.cardinality))
+            rng.shuffle(idx)
+            seq = [groups.element_at(spec, i) for i in idx]
+            built = Ordering.from_indices(spec, idx)
+            assert built == Ordering(spec, seq)
+            assert built.seq == tuple(seq)
+            assert built.indices == tuple(idx)
+            assert hash(built) == hash(Ordering(spec, seq))
+
+
+def test_from_indices_validation():
+    for spec in (cyclic(4), interval_box(4), abelian(2, 2)):
+        with pytest.raises(ValueError, match="must list all 4 elements, got 3"):
+            Ordering.from_indices(spec, [0, 1, 2])
+        with pytest.raises(ValueError, match="repeats an element"):
+            Ordering.from_indices(spec, [0, 1, 2, 2])
+        for bad in (4, -1, 1.0, "1"):
+            with pytest.raises(ValueError, match="out of range"):
+                Ordering.from_indices(spec, [0, bad, 2, 3])
+
+
 def test_orbitwalk_wraparound_example():
     o = _ordering(cyclic(7), [0, 2, 6, 1, 3, 5, 4])
     res = longest_ap_orbitwalk(o)
