@@ -1,9 +1,11 @@
 """Threshold equations for the typical longest-progression length.
 
-For each family the count of progression k-orderings, extended from the
-integer nodes to the reals, is matched against Gamma(x+1); the crossing
-point is where the expected number of embedded k-progressions in a random
-ordering passes 1, and the typical length concentrates on its floor/ceiling.
+For every family the count of progression k-orderings, extended from the
+integer nodes 2..k_max to the reals, is matched against Gamma(x+1); the
+crossing point is where the expected number of embedded k-progressions in a
+random ordering passes 1, and the typical length concentrates on its
+floor/ceiling.  k_max, the largest k with a positive count, is n for boxes
+and cyclic groups and the exponent of any other group.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from . import counting
 from .errors import InternalInvariantError
-from .groups import ABELIAN, ELEMENTARY, INTERVAL, AdditiveSetSpec
+from .groups import CYCLIC, INTERVAL, AdditiveSetSpec
 
 RESIDUAL_TOL = 1e-9
 
@@ -71,10 +73,6 @@ def log_count(spec: AdditiveSetSpec, k: int) -> float:
         log_big = spec.d * math.log(p1 + spec.n)
         log_small = spec.d * math.log(spec.n)
         return log_big + math.log1p(-math.exp(log_small - log_big))
-    if spec.family == ELEMENTARY:
-        if not 2 <= k <= spec.p:
-            raise ValueError(f"k must be in [2, {spec.p}] for {spec}")
-        return 2 * spec.d * math.log(spec.p) + math.log1p(-spec.p**-spec.d)
     exact = counting.count_for_set(spec, k).exact
     if exact <= 0:
         raise ValueError(f"count is zero at k={k} for {spec}")
@@ -83,9 +81,7 @@ def log_count(spec: AdditiveSetSpec, k: int) -> float:
 
 def _k_max(spec: AdditiveSetSpec) -> int:
     """Largest k with a positive count."""
-    if spec.family == ELEMENTARY:
-        return spec.p
-    return spec.n
+    return spec.n if spec.family in (INTERVAL, CYCLIC) else spec.exponent
 
 
 def continued_log_count(spec: AdditiveSetSpec, x: float, mode: str = "interp") -> float:
@@ -121,10 +117,6 @@ def asymptotic_estimate(n: int, d: int = 1) -> float:
     return 2.0 * d * math.log(n) / math.log(math.log(n))
 
 
-def _asymptotic_or_none(n: int, d: int) -> float | None:
-    return asymptotic_estimate(n, d) if n >= 3 else None
-
-
 def _snap_to_integer(value: float, f, lo: float, hi: float) -> float:
     nearest = round(value)
     if lo <= nearest <= hi and abs(value - nearest) < 1e-6:
@@ -134,49 +126,31 @@ def _snap_to_integer(value: float, f, lo: float, hi: float) -> float:
 
 
 def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdResult:
-    """Root of log(count)(x) - log Gamma(x+1) = 0 for the family.
+    """Root of log(count)(x) - log Gamma(x+1) = 0 on [2, k_max].
 
     The difference is strictly decreasing, so bisection converges; if it is
     already nonpositive at x = 2 the result clamps to 2, and if it is still
-    positive at the largest k with a positive count (small boxes), it clamps
-    to that k.  For the elementary family the count is constant in k and the
-    equation inverts log-gamma directly.
+    positive at k_max (small boxes, and groups whose exponent is small
+    against their size), it clamps to k_max.  The first-order asymptotic is
+    reported for boxes and cyclic groups only.
     """
-    if spec.family == ABELIAN:
-        raise ValueError("thresholds are defined for interval, cyclic, and "
-                         "elementary families")
+    hi = float(_k_max(spec))
+    if hi < 2.0:
+        raise ValueError(f"{spec} has no k >= 2")
 
-    if spec.family == ELEMENTARY:
-        target = log_count(spec, 2)
+    def f(x: float) -> float:
+        return continued_log_count(spec, x, mode) - log_gamma(x + 1.0)
 
-        def f(x: float) -> float:
-            return target - log_gamma(x + 1.0)
-
-        asym = _asymptotic_or_none(spec.p, spec.d)
-    else:
-        hi = float(_k_max(spec))
-        if hi < 2.0:
-            raise ValueError(f"{spec} has no k >= 2")
-
-        def f(x: float) -> float:
-            return continued_log_count(spec, x, mode) - log_gamma(x + 1.0)
-
-        d = spec.d if spec.family == INTERVAL else 1
-        asym = _asymptotic_or_none(spec.n, d)
+    asym = None
+    if spec.family in (INTERVAL, CYCLIC) and spec.n >= 3:
+        asym = asymptotic_estimate(spec.n, spec.d if spec.family == INTERVAL else 1)
 
     if f(2.0) <= 0:
         return ThresholdResult(2.0, (2, 2), str(spec), True, asym, abs(f(2.0)), mode)
-    if spec.family == ELEMENTARY:
-        hi = 4.0
-        while f(hi) > 0:
-            hi *= 2
-    else:
-        f_hi = f(hi)
-        if f_hi >= 0:
-            clamped = abs(f_hi) > RESIDUAL_TOL  # the root lies past k_max
-            return ThresholdResult(
-                hi, _window(hi), str(spec), clamped, asym, abs(f_hi), mode
-            )
+    f_hi = f(hi)
+    if f_hi >= 0:
+        clamped = abs(f_hi) > RESIDUAL_TOL  # the root lies past k_max
+        return ThresholdResult(hi, _window(hi), str(spec), clamped, asym, abs(f_hi), mode)
     value = _bisect(f, 2.0, hi)
     value = _snap_to_integer(value, f, 2.0, hi)
     residual = abs(f(value))

@@ -169,10 +169,10 @@ def _distribution_payload(spec: AdditiveSetSpec, table) -> dict:
         "counts": {str(k): c for k, c in table.as_dict().items() if c},
         "total": table.total,
     }
-    # two-point window diagnostic where a threshold is defined
+    # two-point window diagnostic; sets with no k >= 2 have none
     try:
         thr = asymptotics.solve_threshold(spec)
-    except (ValueError, InternalInvariantError):
+    except ValueError:
         return result
     lo, hi = thr.window
     mass = sum(c for k, c in table.as_dict().items() if lo <= k <= hi)

@@ -17,7 +17,6 @@ from . import groups
 from .errors import CapExceeded
 from .groups import (
     CYCLIC,
-    ELEMENTARY,
     INTERVAL,
     AdditiveSetSpec,
     divisors,
@@ -215,24 +214,18 @@ def count_for_set(spec: AdditiveSetSpec, k: int) -> CountResult:
         return count_lattice(spec.n, k, spec.d)
     if spec.family == CYCLIC:
         return count_cyclic(spec.n, k)
-    if spec.family == ELEMENTARY:
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        if k > spec.p:
-            return _exact(0)
-        return _exact(spec.p ** (2 * spec.d) - spec.p**spec.d)
     return count_abelian_exact(spec, k)
 
 
-def _check_brute_caps(spec: AdditiveSetSpec, group_cap: int) -> None:
+def _check_brute_caps(spec: AdditiveSetSpec) -> None:
     if spec.family == INTERVAL:
         if spec.n > DEFAULT_INTERVAL_BRUTE_N or spec.d > DEFAULT_INTERVAL_BRUTE_D:
             raise CapExceeded(
                 f"brute force capped at n <= {DEFAULT_INTERVAL_BRUTE_N}, "
                 f"d <= {DEFAULT_INTERVAL_BRUTE_D} for interval boxes"
             )
-    elif spec.cardinality > group_cap:
-        raise CapExceeded(f"brute force capped at |A| <= {group_cap}")
+    elif spec.cardinality > DEFAULT_GROUP_BRUTE_CAP:
+        raise CapExceeded(f"brute force capped at |A| <= {DEFAULT_GROUP_BRUTE_CAP}")
 
 
 def _interval_steps(spec: AdditiveSetSpec):
@@ -273,9 +266,7 @@ def _profile_from_reach(reach: list[int], k_max: int, card: int) -> list[int]:
     return counts
 
 
-def brute_force_profile(
-    spec: AdditiveSetSpec, k_max: int, *, group_cap: int = DEFAULT_GROUP_BRUTE_CAP
-) -> list[int]:
+def brute_force_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
     """Oracle counts for every k at once: entry [k] is the number of
     progression k-orderings, for 1 <= k <= k_max.
 
@@ -285,7 +276,7 @@ def brute_force_profile(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _check_brute_caps(spec, group_cap)
+    _check_brute_caps(spec)
     card = spec.cardinality
     reach = [0] * (k_max + 2)
     if spec.family == INTERVAL:
@@ -360,9 +351,7 @@ def cycle_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
     return _profile_from_reach(reach, k_max, card)
 
 
-def brute_force_count(
-    spec: AdditiveSetSpec, k: int, *, group_cap: int = DEFAULT_GROUP_BRUTE_CAP
-) -> CountResult:
+def brute_force_count(spec: AdditiveSetSpec, k: int) -> CountResult:
     """Ground-truth count of progression k-orderings by exhaustive enumeration.
 
     k = 1 counts the singletons (one per member of the set).
@@ -370,9 +359,9 @@ def brute_force_count(
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
-        _check_brute_caps(spec, group_cap)
+        _check_brute_caps(spec)
         return CountResult(spec.cardinality, spec.cardinality, BRUTE_FORCE, spec.cardinality)
-    counts = brute_force_profile(spec, k, group_cap=group_cap)
+    counts = brute_force_profile(spec, k)
     return CountResult(counts[k], counts[k], BRUTE_FORCE, counts[k])
 
 

@@ -97,9 +97,13 @@ def test_threshold_boundary_clamp():
     assert thr.window == (2, 2)
 
 
-def test_threshold_rejects_abelian():
-    with pytest.raises(ValueError):
-        solve_threshold(abelian(2, 4))
+def test_threshold_abelian_chains():
+    for spec, window in [(abelian(4, 8), (5, 6)), (abelian(10, 100), (9, 10)),
+                         (abelian(50, 100), (10, 11))]:
+        thr = solve_threshold(spec)
+        assert thr.window == window, spec
+        assert thr.residual <= 1e-9
+        assert thr.asymptotic is None
 
 
 def test_threshold_clamps_past_k_max_for_small_lattice():
@@ -164,7 +168,64 @@ def test_domination_sample():
 
 
 def test_elementary_threshold_growth():
-    t1 = solve_threshold(elementary(3, 1)).value
-    t2 = solve_threshold(elementary(3, 4)).value
-    assert t2 > t1
+    # the threshold grows with d until it meets p, the longest progression
+    t1 = solve_threshold(elementary(7, 1)).value
+    t2 = solve_threshold(elementary(7, 2)).value
+    assert t1 < t2 <= 7
+    for d in (4, 7):
+        thr = solve_threshold(elementary(3, d))
+        assert thr.value == 3.0
+        assert thr.window == (3, 3)
+        assert thr.boundary_clamped
+        assert thr.asymptotic is None
     assert solve_threshold(elementary(2, 1)).value == 2.0
+
+
+def _abelian_chains(limit):
+    """Divisibility chains n_1 | ... | n_d with d >= 2 and product <= limit."""
+    def extend(chain, size):
+        if len(chain) >= 2:
+            yield chain
+        step = chain[-1]
+        f = step
+        while size * f <= limit:
+            yield from extend(chain + (f,), size * f)
+            f += step
+
+    for first in range(2, limit + 1):
+        yield from extend((first,), first)
+
+
+def _integer_window(spec, k_max):
+    """The window from exact counts alone: the root of count(x) = Gamma(x+1)
+    lies between the last node with count(k) > k! and the next node."""
+    def above(k):
+        return counting.count_for_set(spec, k).exact - math.factorial(k)
+
+    if above(2) <= 0:
+        return (2, 2)
+    k = 2
+    while k < k_max and above(k + 1) > 0:
+        k += 1
+    if k == k_max:
+        return (k_max, k_max)
+    if above(k + 1) == 0:
+        return (k + 1, k + 1)
+    return (k, k + 1)
+
+
+def test_threshold_windows_match_exact_counts():
+    cases = []
+    for n in range(2, 2001):
+        cases += [(interval_box(n), n), (cyclic(n), n)]
+    cases += [(interval_box(n, 2), n) for n in range(2, 100)]
+    cases += [(interval_box(n, 3), n) for n in range(2, 40)]
+    for p in (2, 3, 5, 7, 11, 13):
+        d = 1
+        while p**d <= 10**6:
+            cases.append((elementary(p, d), p))
+            d += 1
+    cases += [(abelian(*chain), chain[-1]) for chain in _abelian_chains(512)]
+    for spec, k_max in cases:
+        thr = solve_threshold(spec)
+        assert thr.window == _integer_window(spec, k_max), spec

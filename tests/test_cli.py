@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from apseq import cli, las
+from apseq.errors import InternalInvariantError
 
 
 def run_cli(*argv):
@@ -261,6 +262,55 @@ def test_predict_small_box_clamps_to_k_max(box, capsys):
     result = json.loads(out)["result"]
     assert result["window"] == [n, n]
     assert result["boundary_clamped"] is True
+
+
+def test_enumerate_window_fault_exit_code(capsys, monkeypatch):
+    def broken(spec, mode="interp"):
+        raise InternalInvariantError("solver fault")
+
+    monkeypatch.setattr(cli.asymptotics, "solve_threshold", broken)
+    code, out, err = run_main(capsys, "enumerate", "--set", "cyclic:4", "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: solver fault\n"
+
+
+def test_enumerate_without_threshold_has_no_window(capsys):
+    code, out, _ = run_main(capsys, "enumerate", "--set", "cyclic:1", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["total"] == 1
+    assert "window" not in result
+    assert "window_mass" not in result
+
+
+def test_predict_elementary_clamps_at_p(capsys):
+    code, out, _ = run_main(capsys, "predict", "--set", "elementary:3^7", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == [3, 3]
+    assert result["asymptotic"] is None
+
+
+def test_simulate_elementary_coverage(capsys):
+    code, out, _ = run_main(capsys, "simulate", "--set", "elementary:3^4", "--samples", "50",
+                            "--seed", "1", "--coverage", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["coverage"] == 1.0
+
+
+def test_enumerate_elementary_window(capsys):
+    code, out, _ = run_main(capsys, "enumerate", "--set", "elementary:2^3", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == [2, 2]
+    assert result["window_mass"] == 1.0
+
+
+def test_predict_abelian(capsys):
+    code, out, _ = run_main(capsys, "predict", "--set", "abelian:4x8", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["window"] == [5, 6]
 
 
 def test_simulate_above_sample_cap_exit_code(capsys, monkeypatch):
