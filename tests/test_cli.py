@@ -292,6 +292,24 @@ def test_predict_elementary_clamps_at_p(capsys):
     assert result["asymptotic"] is None
 
 
+def test_predict_two_element_set_is_exact_at_2(capsys):
+    # count(2) = 2 = 2!, so the root is the node 2 itself, not a clamp
+    code, out, _ = run_main(capsys, "predict", "--set", "cyclic:2", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == 2.0
+    assert result["window"] == [2, 2]
+    assert result["boundary_clamped"] is False
+
+
+def test_predict_elementary_clamps_at_k_max_2(capsys):
+    code, out, _ = run_main(capsys, "predict", "--set", "elementary:2^3", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["window"] == [2, 2]
+    assert result["boundary_clamped"] is True
+
+
 def test_simulate_elementary_coverage(capsys):
     code, out, _ = run_main(capsys, "simulate", "--set", "elementary:3^4", "--samples", "50",
                             "--seed", "1", "--coverage", "--json")
