@@ -3,6 +3,12 @@ arithmetic-progression k-orderings of each set family.
 
 A progression k-ordering is a sequence (a, a+r, ..., a+(k-1)r) of k distinct
 members of the set with step r != 0.  It is determined by the pair (a, r).
+
+The brute-force oracles (brute_force_profile, cycle_profile,
+iter_progressions) work in canonical indices.  Each candidate step gets one
+successor table, built from slices of an index list, with a negative entry
+where the step leaves a box; the oracles walk that table for every family
+and use no element orders or closed forms.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mod
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import groups
@@ -230,22 +236,53 @@ def _interval_steps(spec: AdditiveSetSpec):
 
 
 def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
-    """Canonical-index successor table for x -> x + r in a group family.
+    """Canonical-index successor table for x -> x + r: entry i is the index
+    of element_i + r, and negative exactly when that point leaves a box.
 
-    Built per coordinate: entry i is the mixed-radix index of element_i + r,
-    folded together as sums of per-coordinate stride contributions.
+    Built from the last coordinate outwards out of slices of one index
+    list.  The last coordinate's table is that list rotated by its step in
+    a group, and shifted in a box with -1 where the step leaves.  Each
+    earlier coordinate maps every run of the table so far to the run its
+    step reaches, picking the same positions from that run's slice of the
+    list (a -1 picks a -1 put past the slice's end); a run the step takes
+    out of the box is all -1.
     """
-    moduli = spec.moduli
-    d = len(moduli)
-    strides = [1] * d
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * moduli[i + 1]
-    table = [0]
-    for c in range(d):
-        m, rc, s = moduli[c], r[c], strides[c]
-        contrib = [((v + rc) % m) * s for v in range(m)]
-        table = [base + off for base in table for off in contrib]
+    box = spec.family == INTERVAL
+    radixes = (spec.n,) * spec.d if box else spec.moduli
+    ids = list(range(spec.cardinality))
+    m, c = radixes[-1], r[-1]
+    if not box:
+        table = ids[c:m] + ids[:c]
+    elif c >= 0:
+        table = ids[c:m] + [-1] * c
+    else:
+        table = [-1] * -c + ids[: m + c]
+    size = m
+    for m, c in zip(radixes[-2::-1], r[-2::-1]):
+        pick = itemgetter(*table)
+        gone = (-1,) * size
+        nxt: list[int] = []
+        for x in range(m):
+            y = x + c
+            if not box:
+                y %= m
+            elif not 0 <= y < m:
+                nxt += gone
+                continue
+            nxt += pick(ids[y * size : (y + 1) * size] + [-1])
+        table = nxt
+        size *= m
     return table
+
+
+def _steps(spec: AdditiveSetSpec):
+    """Every nonzero candidate step, as a coordinate tuple: the lattice
+    steps of a box, the group's elements in canonical order."""
+    if spec.family == INTERVAL:
+        return _interval_steps(spec)
+    steps = itertools.product(*map(range, spec.moduli))
+    next(steps)  # the identity
+    return steps
 
 
 def _profile_from_reach(reach: list[int], k_max: int, card: int) -> list[int]:
@@ -264,49 +301,32 @@ def brute_force_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
     """Oracle counts for every k at once: entry [k] is the number of
     progression k-orderings, for 1 <= k <= k_max.
 
-    Walks the progression from every candidate (base, step) pair, extending
-    until a term repeats or leaves the set, and tallies the reach.  Knows
-    nothing about element orders or closed forms.
+    Walks the successor table of every candidate step from every base, in
+    canonical indices, until the next term leaves the set (a negative
+    entry), repeats a term of the walk or makes k_max terms, and tallies
+    the reach.  Knows nothing about element orders or closed forms.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _check_brute_caps(spec)
     card = spec.cardinality
     reach = [0] * (k_max + 2)
-    if spec.family == INTERVAL:
-        boxes = list(groups.elements(spec))
-        n = spec.n
-        for r in _interval_steps(spec):
-            for a in boxes:
-                cur = a
-                length = 1
-                while length < k_max:
-                    cur = tuple(map(add, cur, r))
-                    if min(cur) < 1 or max(cur) > n:
-                        break
-                    length += 1
-                reach[length] += 1
-    else:
-        elems = list(groups.elements(spec))
-        ident = groups.identity(spec)
-        visited = [-1] * card
-        stamp = 0
-        for r in elems:
-            if r == ident:
-                continue
-            succ = _succ_table(spec, r)
-            for a_idx in range(card):
-                stamp += 1
-                visited[a_idx] = stamp
-                cur = a_idx
-                length = 1
-                while length < k_max:
-                    cur = succ[cur]
-                    if visited[cur] == stamp:
-                        break
-                    visited[cur] = stamp
-                    length += 1
-                reach[length] += 1
+    visited = [-1] * card
+    stamp = 0
+    for r in _steps(spec):
+        succ = _succ_table(spec, r)
+        for a in range(card):
+            stamp += 1
+            visited[a] = stamp
+            cur = a
+            length = 1
+            while length < k_max:
+                cur = succ[cur]
+                if cur < 0 or visited[cur] == stamp:
+                    break
+                visited[cur] = stamp
+                length += 1
+            reach[length] += 1
     return _profile_from_reach(reach, k_max, card)
 
 
@@ -325,11 +345,7 @@ def cycle_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
         raise ValueError("k_max must be >= 1")
     card = spec.cardinality
     reach = [0] * (k_max + 2)
-    elems = list(groups.elements(spec))
-    ident = groups.identity(spec)
-    for r in elems:
-        if r == ident:
-            continue
+    for r in _steps(spec):
         succ = _succ_table(spec, r)
         seen = bytearray(card)
         for start in range(card):
@@ -377,37 +393,32 @@ def iter_progressions(
     """Yield every progression k-ordering of the set as (APSpec, terms).
 
     Each valid progression corresponds to exactly one (base, step) pair.
+    Steps come in the order of the candidate steps, bases in canonical
+    order; each pair walks the step's successor table as
+    brute_force_profile does, and yields when k distinct terms stay inside.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     check_enum_cap(spec, enum_cap)
     elems = list(groups.elements(spec))
-    if spec.family == INTERVAL:
-        n = spec.n
-        for r in _interval_steps(spec):
-            for a in elems:
-                terms = [a]
-                cur = a
-                for _ in range(k - 1):
-                    cur = tuple(map(add, cur, r))
-                    if min(cur) < 1 or max(cur) > n:
-                        break
-                    terms.append(cur)
-                else:
-                    yield APSpec(a, r, k), tuple(terms)
-    else:
-        ident = groups.identity(spec)
-        moduli = spec.moduli
-        for r in elems:
-            if r == ident or groups.element_order(spec, r) < k:
-                continue
-            for a in elems:
-                terms = [a]
-                cur = a
-                for _ in range(k - 1):
-                    cur = tuple(map(mod, map(add, cur, r), moduli))
-                    terms.append(cur)
-                yield APSpec(a, r, k), tuple(terms)
+    card = len(elems)
+    visited = [-1] * card
+    stamp = 0
+    for r in _steps(spec):
+        succ = _succ_table(spec, r)
+        for a in range(card):
+            stamp += 1
+            visited[a] = stamp
+            terms = [a]
+            cur = a
+            for _ in range(k - 1):
+                cur = succ[cur]
+                if cur < 0 or visited[cur] == stamp:
+                    break
+                visited[cur] = stamp
+                terms.append(cur)
+            else:
+                yield APSpec(elems[a], r, k), tuple(map(elems.__getitem__, terms))
 
 
 def totient_sum_margin(n: int, k: int) -> float:

@@ -600,7 +600,9 @@ class IntervalLengthEngine:
         n, d = spec.n, spec.d
         strides = [n ** (d - 1 - i) for i in range(d)]
         half = (n - 1) // 2
-        ids = list(range(card))  # paths share these int objects
+        # paths share these int objects; as tuple slices they are tuples,
+        # which the cyclic garbage collector stops tracking
+        ids = tuple(range(card))
         lines = []
         if d == 1:
             # the paths of step v start at x < v; 3 terms need x < n - 2v

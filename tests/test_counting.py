@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import pytest
@@ -254,3 +255,74 @@ def test_iter_progressions_counts_and_validity():
             assert terms not in seen
             seen.add(terms)
         assert len(seen) == brute_force_count(spec, k).exact
+
+
+TABLE_SPECS = (
+    [cyclic(n) for n in range(1, 13)]
+    + [abelian(2, 4), abelian(3, 9), abelian(2, 6, 12), elementary(3, 3)]
+    + [interval_box(n) for n in range(1, 8)]
+    + [interval_box(4, 2), interval_box(3, 3), interval_box(2, 3)]
+)
+
+
+def _coordinate_steps(spec):
+    # every nonzero step as a coordinate tuple, in the oracles' order
+    if spec.family == groups.INTERVAL:
+        span = range(-(spec.n - 1), spec.n)
+        return [r for r in itertools.product(span, repeat=spec.d) if any(r)]
+    return list(groups.elements(spec))[1:]
+
+
+def _coordinate_add(spec, x, r):
+    if spec.family == groups.INTERVAL:
+        return tuple(a + b for a, b in zip(x, r))
+    return tuple((a + b) % m for a, b, m in zip(x, r, spec.moduli))
+
+
+def _reference_progressions(spec, k):
+    # the coordinate-tuple walker: boxes stop where a term leaves the box,
+    # groups keep the steps of order >= k
+    out = []
+    elems = list(groups.elements(spec))
+    for r in _coordinate_steps(spec):
+        if spec.is_group and groups.element_order(spec, r) < k:
+            continue
+        for a in elems:
+            terms = [a]
+            for _ in range(k - 1):
+                nxt = _coordinate_add(spec, terms[-1], r)
+                if not groups.is_valid_element(spec, nxt):
+                    break
+                terms.append(nxt)
+            else:
+                out.append((APSpec(a, r, k), tuple(terms)))
+    return out
+
+
+def _k_max(spec):
+    return spec.n if spec.family == groups.INTERVAL else spec.exponent
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_succ_table_matches_coordinate_arithmetic(spec):
+    elems = list(groups.elements(spec))
+    for r in _coordinate_steps(spec):
+        table = counting._succ_table(spec, r)
+        assert len(table) == len(elems)
+        for x, entry in zip(elems, table):
+            y = _coordinate_add(spec, x, r)
+            if groups.is_valid_element(spec, y):
+                assert entry == groups.canonical_index(spec, y), (spec, r, x)
+            else:
+                assert spec.family == groups.INTERVAL and entry < 0, (spec, r, x)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_oracle_walkers_match_coordinate_reference(spec):
+    k_max = _k_max(spec)
+    profile = [0, spec.cardinality]
+    for k in range(2, k_max + 2):
+        want = _reference_progressions(spec, k)
+        assert list(iter_progressions(spec, k)) == want, (spec, k)
+        profile.append(len(want))
+    assert brute_force_profile(spec, k_max + 1) == profile
