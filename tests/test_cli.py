@@ -459,6 +459,14 @@ GOLDEN_CASES = {
     "tables_empty": ["tables", "--family", "cyclic", "--max-n", "0", "--csv", "{csv}"],
     "enumerate_csv": ["enumerate", "--set", "interval:6", "--csv", "{csv}"],
     "tables_csv": ["tables", "--family", "cyclic", "--max-n", "7", "--csv", "{csv}"],
+    "las_interval_witness": ["las", "--set", "interval:7", "--sequence",
+                             "2,7,1,6,3,4,5", "--witness", "--json"],
+    "las_box_pairdp_witness": ["las", "--set", "interval:3,2", "--coords",
+                               "1,1;2,2;3,3;1,2;2,1;1,3;3,1;2,3;3,2",
+                               "--algorithm", "pairdp", "--witness", "--json"],
+    "las_abelian_pairdp_witness": ["las", "--set", "abelian:2x4", "--sequence",
+                                   "0,5,2,7,1,4,3,6", "--algorithm", "pairdp",
+                                   "--witness", "--json"],
 }
 
 
