@@ -76,7 +76,7 @@ def _parse_sequence(spec: AdditiveSetSpec, text: str) -> las.Ordering:
         and spec.d == 1
         and sorted(entries) == list(range(1, card + 1))
     ):
-        entries = [v - 1 for v in entries]
+        return las.Ordering(spec, [(v,) for v in entries])
     return las.Ordering.from_indices(spec, entries)
 
 

@@ -34,9 +34,10 @@ CLOSED_FORM = "ClosedForm"
 BRUTE_FORCE = "BruteForce"
 BOUNDS_ONLY = "BoundsOnly"
 
-DEFAULT_GROUP_BRUTE_CAP = 10**4
+# Most candidate (base, step) pairs a brute-force oracle walks; in a group
+# that admits |A| <= 10^4.
+BRUTE_PAIR_BUDGET = 10**8
 DEFAULT_INTERVAL_BRUTE_N = 50
-DEFAULT_INTERVAL_BRUTE_D = 3
 DEFAULT_ENUM_CAP = 10**7
 
 
@@ -71,14 +72,7 @@ def progression_terms(spec: AdditiveSetSpec, ap: APSpec) -> tuple:
         raise ValueError("progression length must be >= 1")
     if ap.step == groups.identity(spec):
         raise ValueError("trivial step")
-    terms = [ap.base]
-    cur = ap.base
-    for _ in range(ap.length - 1):
-        if spec.family == INTERVAL:
-            cur = tuple(a + b for a, b in zip(cur, ap.step))
-        else:
-            cur = tuple((a + b) % m for a, b, m in zip(cur, ap.step, spec.moduli))
-        terms.append(cur)
+    terms = [ap.base, *(groups.add(spec, ap.base, ap.step, t) for t in range(1, ap.length))]
     if len(set(terms)) != len(terms):
         raise ValueError("progression terms repeat")
     for t in terms:
@@ -217,22 +211,22 @@ def count_for_set(spec: AdditiveSetSpec, k: int) -> CountResult:
     return count_abelian_exact(spec, k)
 
 
-def _check_brute_caps(spec: AdditiveSetSpec) -> None:
+def _candidate_pairs(spec: AdditiveSetSpec) -> int:
+    """Number of candidate (base, step) pairs: every base with every lattice
+    step in [-(n-1), n-1]^d of a box, or with every element of a group."""
+    card = spec.cardinality
     if spec.family == INTERVAL:
-        if spec.n > DEFAULT_INTERVAL_BRUTE_N or spec.d > DEFAULT_INTERVAL_BRUTE_D:
-            raise CapExceeded(
-                f"brute force capped at n <= {DEFAULT_INTERVAL_BRUTE_N}, "
-                f"d <= {DEFAULT_INTERVAL_BRUTE_D} for interval boxes"
-            )
-    elif spec.cardinality > DEFAULT_GROUP_BRUTE_CAP:
-        raise CapExceeded(f"brute force capped at |A| <= {DEFAULT_GROUP_BRUTE_CAP}")
+        return card * (2 * spec.n - 1) ** spec.d
+    return card * card
 
 
-def _interval_steps(spec: AdditiveSetSpec):
-    """All candidate lattice steps with coordinates in [-(n-1), n-1], minus 0."""
-    span = range(-(spec.n - 1), spec.n)
-    zero = groups.identity(spec)
-    return (r for r in itertools.product(span, repeat=spec.d) if r != zero)
+def _check_brute_caps(spec: AdditiveSetSpec) -> None:
+    if spec.family == INTERVAL and spec.n > DEFAULT_INTERVAL_BRUTE_N:
+        raise CapExceeded(
+            f"brute force capped at n <= {DEFAULT_INTERVAL_BRUTE_N} for interval boxes"
+        )
+    if _candidate_pairs(spec) > BRUTE_PAIR_BUDGET:
+        raise CapExceeded(f"brute force capped at {BRUTE_PAIR_BUDGET} (base, step) pairs")
 
 
 def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
@@ -248,9 +242,8 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
     out of the box is all -1.
     """
     box = spec.family == INTERVAL
-    radixes = (spec.n,) * spec.d if box else spec.moduli
     ids = list(range(spec.cardinality))
-    m, c = radixes[-1], r[-1]
+    m, c = spec.radixes[-1], r[-1]
     if not box:
         table = ids[c:m] + ids[:c]
     elif c >= 0:
@@ -258,7 +251,7 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
     else:
         table = [-1] * -c + ids[: m + c]
     size = m
-    for m, c in zip(radixes[-2::-1], r[-2::-1]):
+    for m, c in zip(spec.radixes[-2::-1], r[-2::-1]):
         pick = itemgetter(*table)
         gone = (-1,) * size
         nxt: list[int] = []
@@ -276,13 +269,15 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
 
 
 def _steps(spec: AdditiveSetSpec):
-    """Every nonzero candidate step, as a coordinate tuple: the lattice
-    steps of a box, the group's elements in canonical order."""
+    """Every nonzero candidate step, as a coordinate tuple in lexicographic
+    order: the lattice steps of a box with coordinates in [-(n-1), n-1],
+    the group's elements in canonical order."""
     if spec.family == INTERVAL:
-        return _interval_steps(spec)
-    steps = itertools.product(*map(range, spec.moduli))
-    next(steps)  # the identity
-    return steps
+        spans = [range(1 - spec.n, spec.n)] * spec.d
+    else:
+        spans = map(range, spec.moduli)
+    zero = groups.identity(spec)
+    return (r for r in itertools.product(*spans) if r != zero)
 
 
 def _profile_from_reach(reach: list[int], k_max: int, card: int) -> list[int]:
@@ -378,12 +373,7 @@ def brute_force_count(spec: AdditiveSetSpec, k: int) -> CountResult:
 def check_enum_cap(spec: AdditiveSetSpec, enum_cap: int) -> None:
     """Raise CapExceeded when the set has more than enum_cap candidate
     (base, step) pairs."""
-    card = spec.cardinality
-    if spec.family == INTERVAL:
-        n_pairs = card * ((2 * spec.n - 1) ** spec.d)
-    else:
-        n_pairs = card * card
-    if n_pairs > enum_cap:
+    if _candidate_pairs(spec) > enum_cap:
         raise CapExceeded(f"progression enumeration capped at {enum_cap} pairs")
 
 

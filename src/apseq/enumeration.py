@@ -229,8 +229,9 @@ def is_three_free(ordering: las.Ordering) -> bool:
 def _assemble_three_free(
     m: int, s: las.Ordering, t: las.Ordering, evens_first: bool
 ) -> las.Ordering:
-    evens = [2 * x[0] for x in s.seq]
-    odds = [2 * x[0] + 1 for x in t.seq]
+    # a cyclic group's canonical index is its element's value
+    evens = [2 * x for x in s.indices]
+    odds = [2 * x + 1 for x in t.indices]
     block = evens + odds if evens_first else odds + evens
     return las.Ordering.from_indices(groups.cyclic(2**m), block)
 
@@ -279,8 +280,7 @@ def three_free_structure_check(ordering: las.Ordering) -> bool:
     spec = ordering.spec
     if spec.family != CYCLIC or spec.n & (spec.n - 1) != 0:
         raise ValueError("structure check applies to Z/nZ with n a power of two")
-    values = [x[0] for x in ordering.seq]
-    return _structure_check_values(values)
+    return _structure_check_values(list(ordering.indices))
 
 
 def _structure_check_values(values: list[int]) -> bool:

@@ -3,6 +3,11 @@
 Elements are plain tuples of ints (coordinate vectors).  Group families reduce
 coordinates modulo per-coordinate moduli; the interval family lives in the
 ambient lattice Z^d, so its addition is unreduced and may leave the box.
+
+This module owns the element codec and the ambient addition, which every
+other module calls rather than re-deriving: canonical_index and element_at
+read coordinates row-major in spec.radixes (box coordinates start at 1,
+group coordinates at 0), and add(spec, x, r, times) forms x + times * r.
 """
 
 from __future__ import annotations
@@ -180,6 +185,12 @@ class AdditiveSetSpec:
         raise ValueError("interval boxes have no modulus")
 
     @property
+    def radixes(self) -> tuple[int, ...]:
+        """Per coordinate, the number of values it takes; canonical indices
+        read the coordinates row-major in these radixes."""
+        return (self.n,) * self.d if self.family == INTERVAL else self.moduli
+
+    @property
     def is_group(self) -> bool:
         return self.family in GROUP_FAMILIES
 
@@ -257,9 +268,8 @@ def identity(spec: AdditiveSetSpec) -> Element:
 def is_valid_element(spec: AdditiveSetSpec, x) -> bool:
     if len(x) != spec.dimension:
         return False
-    if spec.family == INTERVAL:
-        return all(1 <= c <= spec.n for c in x)
-    return all(0 <= c < m for c, m in zip(x, spec.moduli))
+    offset = 1 if spec.family == INTERVAL else 0
+    return all(0 <= c - offset < m for c, m in zip(x, spec.radixes))
 
 
 def check_element(spec: AdditiveSetSpec, x) -> None:
@@ -285,13 +295,10 @@ def element_order(spec: AdditiveSetSpec, x: Element) -> int:
 def canonical_index(spec: AdditiveSetSpec, x: Element) -> int:
     """Row-major mixed-radix index of an element, in [0, |A|-1]."""
     check_element(spec, x)
+    offset = 1 if spec.family == INTERVAL else 0  # box coordinates start at 1
     idx = 0
-    if spec.family == INTERVAL:
-        for c in x:
-            idx = idx * spec.n + (c - 1)
-    else:
-        for c, m in zip(x, spec.moduli):
-            idx = idx * m + c
+    for c, m in zip(x, spec.radixes):
+        idx = idx * m + c - offset
     return idx
 
 
@@ -299,17 +306,20 @@ def element_at(spec: AdditiveSetSpec, i: int) -> Element:
     """Inverse of canonical_index."""
     if not 0 <= i < spec.cardinality:
         raise ValueError(f"index {i} out of range for {spec}")
-    if spec.family == INTERVAL:
-        radixes = (spec.n,) * spec.d
-        offset = 1
-    else:
-        radixes = spec.moduli
-        offset = 0
+    offset = 1 if spec.family == INTERVAL else 0
     coords = []
-    for m in reversed(radixes):
+    for m in reversed(spec.radixes):
         i, c = divmod(i, m)
         coords.append(c + offset)
     return tuple(reversed(coords))
+
+
+def add(spec: AdditiveSetSpec, x: Element, r: Element, times: int = 1) -> Element:
+    """x + times * r in the ambient group: reduced modulo each coordinate's
+    modulus in a group, unreduced in Z^d for a box (it may leave the box)."""
+    if spec.family == INTERVAL:
+        return tuple(a + times * b for a, b in zip(x, r))
+    return tuple((a + times * b) % m for a, b, m in zip(x, r, spec.moduli))
 
 
 def elements(spec: AdditiveSetSpec):

@@ -45,11 +45,11 @@ SAMPLE_CAP = 10**7
 
 
 class Ordering:
-    """A sequence listing every element of the set exactly once: seq holds
-    the elements, indices their canonical indices.  An ordering made
-    from_indices keeps the indices and converts seq on first use."""
+    """A sequence listing every element of the set exactly once, stored as
+    the elements' canonical indices; seq converts them to elements on each
+    use."""
 
-    __slots__ = ("spec", "indices", "_seq")
+    __slots__ = ("spec", "indices")
 
     def __init__(self, spec: AdditiveSetSpec, seq):
         seq = tuple(tuple(x) for x in seq)
@@ -62,7 +62,6 @@ class Ordering:
             raise ValueError("ordering repeats an element")
         self.spec = spec
         self.indices = indices
-        self._seq = seq
 
     @classmethod
     def from_indices(cls, spec: AdditiveSetSpec, indices) -> "Ordering":
@@ -78,14 +77,11 @@ class Ordering:
         ordering = cls.__new__(cls)
         ordering.spec = spec
         ordering.indices = indices
-        ordering._seq = None
         return ordering
 
     @property
     def seq(self) -> tuple:
-        if self._seq is None:
-            self._seq = tuple(groups.element_at(self.spec, i) for i in self.indices)
-        return self._seq
+        return tuple(groups.element_at(self.spec, i) for i in self.indices)
 
     def positions(self) -> list[int]:
         """positions()[canonical index] = position of that element in seq."""
@@ -169,11 +165,6 @@ def _last_engine(spec: AdditiveSetSpec):
     return length_engine(spec)
 
 
-def _radixes(spec: AdditiveSetSpec) -> tuple[int, ...]:
-    """Per coordinate, the number of values it takes (row-major order)."""
-    return (spec.n,) * spec.d if spec.family == INTERVAL else spec.moduli
-
-
 def _diff_rows(spec: AdditiveSetSpec) -> list[list[int]]:
     """Per coordinate of size m, a row of 2m - 1 values such that the
     pair-DP key of x - y is the sum over coordinates of
@@ -181,7 +172,7 @@ def _diff_rows(spec: AdditiveSetSpec) -> list[list[int]]:
     interval = spec.family == INTERVAL
     rows = []
     weight = 1
-    for m in reversed(_radixes(spec)):
+    for m in reversed(spec.radixes):
         diffs = range(m - 1, -m, -1)  # x_c - y_c
         # a box's signed digit is stored as x_c - y_c + m - 1, in radix 2m - 1
         digits = [t + m - 1 for t in diffs] if interval else [t % m for t in diffs]
@@ -210,15 +201,16 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
 
     seq = ordering.seq
     ids = ordering.indices
-    shift = 1 if spec.family == INTERVAL else 0  # box coordinates start at 1
-    radixes = _radixes(spec)
-    diff_rows = list(zip(radixes, _diff_rows(spec)))
+    # x_c counted from 0 is x_c less the least value, so a row starts at
+    # the coordinate's greatest value (that of the last element) less x_c
+    tops = groups.element_at(spec, card - 1)
+    diff_rows = list(zip(tops, spec.radixes, _diff_rows(spec)))
     dp: list[dict[int, int]] = [{}]
     best_len = 2
     for j in range(1, card):
         row = None
-        for x, (m, values) in zip(seq[j], diff_rows):
-            lo = m - 1 - x + shift
+        for x, (top, m, values) in zip(seq[j], diff_rows):
+            lo = top - x
             part = values[lo : lo + m]
             row = part if row is None else [b + o for b in row for o in part]
         keys = map(row.__getitem__, ids[:j])
@@ -228,11 +220,12 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
         if top > best_len:
             best_len = top
 
-    # The lexicographically smallest (base index, step key) among the
-    # chains of maximal length; the chain ending at j with step key is
+    # The lexicographically smallest (base, step) among the chains of
+    # maximal length, as coordinate tuples: their order is that of the base
+    # index and the step key.  The chain ending at j with a step key is
     # unique, and its base is seq[j] - (best_len - 1) * step.
     steps: dict[int, tuple] = {}
-    best_key = None
+    best = None
     for j, dpj in enumerate(dp):
         if not dpj or max(dpj.values()) != best_len:
             continue
@@ -242,40 +235,25 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
             step = steps.get(key)
             if step is None:
                 step = steps[key] = _decode_step(spec, key)
-            base = _add(spec, seq[j], step, 1 - best_len)
-            base_idx = 0
-            for c, m in zip(base, radixes):
-                base_idx = base_idx * m + c - shift
-            if best_key is None or (base_idx, key) < best_key:
-                best_key = (base_idx, key)
-                best_base, best_step = base, step
-    if best_key is None:
+            cand = (groups.add(spec, seq[j], step, 1 - best_len), step)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
         raise InternalInvariantError("pair DP found no chain in a set of size >= 2")
+    base, step = best
     pos_of = {x: where for where, x in enumerate(seq)}
-    indices = tuple(pos_of[_add(spec, best_base, best_step, t)] for t in range(best_len))
-    return LasResult(best_len, best_base, best_step, indices)
+    indices = tuple(pos_of[groups.add(spec, base, step, t)] for t in range(best_len))
+    return LasResult(best_len, base, step, indices)
 
 
 def _decode_step(spec: AdditiveSetSpec, key: int) -> tuple:
-    """The step whose pair-DP key is key."""
-    if spec.family == INTERVAL:
-        radixes = (2 * spec.n - 1,) * spec.d
-        offset = spec.n - 1
-    else:
-        radixes = spec.moduli
-        offset = 0
-    coords = []
-    for m in reversed(radixes):
-        key, c = divmod(key, m)
-        coords.append(c - offset)
-    return tuple(reversed(coords))
-
-
-def _add(spec: AdditiveSetSpec, x: tuple, step: tuple, times: int) -> tuple:
-    """x + times * step."""
-    if spec.family == INTERVAL:
-        return tuple(a + times * b for a, b in zip(x, step))
-    return tuple((a + times * b) % m for a, b, m in zip(x, step, spec.moduli))
+    """The step whose pair-DP key is key: the element of that canonical
+    index in a group; in a box, the element of that index in the box
+    [1, 2n - 1]^d, shifted by n."""
+    if spec.family != INTERVAL:
+        return groups.element_at(spec, key)
+    keys = groups.interval_box(2 * spec.n - 1, spec.d)
+    return tuple(c - spec.n for c in groups.element_at(keys, key))
 
 
 def progression_index_tuples(
@@ -472,8 +450,8 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
 
     A rising run along a line with step v is the progression with step v
     from the run's first term; a falling run is the one with step -v from
-    the run's last term.  Each line's step is read from its first two
-    terms.  Length 2 needs no lines: the smallest base is the smallest
+    the run's last term.  Each line's step is the difference of its first
+    two terms, decoded and subtracted by groups.  Length 2 needs no lines: the smallest base is the smallest
     index not listed last, paired with the smallest step to an element
     listed after it.
     """
@@ -484,22 +462,13 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
     for where, idx in enumerate(idx_seq):
         pos[idx] = where
     best = _longest_run(engine.lines, pos)
-    interval = spec.family == INTERVAL
-    radixes = _radixes(spec)
-
-    def step_of(a: int, b: int) -> tuple:
-        # coordinates of the step from the element of index a to that of b
-        out = []
-        for m in reversed(radixes):
-            a, x = divmod(a, m)
-            b, y = divmod(b, m)
-            out.append(y - x if interval else (y - x) % m)
-        return tuple(reversed(out))
-
+    at = functools.partial(groups.element_at, spec)
+    add = functools.partial(groups.add, spec)
     if best == 2:
         base = 0 if idx_seq[-1] != 0 else 1
-        step, last = min((step_of(base, y), y) for y in idx_seq[pos[base] + 1 :])
-        return LasResult(2, groups.element_at(spec, base), step, (pos[base], pos[last]))
+        x = at(base)
+        step, last = min((add(at(y), x, -1), y) for y in idx_seq[pos[base] + 1 :])
+        return LasResult(2, x, step, (pos[base], pos[last]))
     best_key = None
     for m, line in engine.lines:
         if m < best:
@@ -510,7 +479,8 @@ def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
             if best_key is not None and base > best_key[0]:
                 continue
             if steps is None:
-                steps = (step_of(line[0], line[1]), step_of(line[1], line[0]))
+                x, y = at(line[0]), at(line[1])
+                steps = (add(y, x, -1), add(x, y, -1))
             key = (base, steps[0] if rising else steps[1])
             if best_key is None or key < best_key:
                 best_key = key

@@ -213,6 +213,14 @@ def test_cap_exit_code():
     assert "cap exceeded" in proc.stderr
 
 
+def test_brute_count_above_pair_budget_exit_code(capsys):
+    code, out, err = run_main(capsys, "count", "--set", "interval:50,3", "--k", "3",
+                              "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err and "brute force" in err
+
+
 def test_simulate_above_engine_cap_exit_code(capsys):
     code, out, err = run_main(capsys, "simulate", "--set", "cyclic:5001", "--samples", "1",
                               "--seed", "1")

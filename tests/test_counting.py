@@ -1,4 +1,5 @@
 import itertools
+import time
 import warnings
 
 import pytest
@@ -184,6 +185,20 @@ def test_brute_force_k1_and_caps():
         brute_force_count(cyclic(20000), 2)
     with pytest.raises(CapExceeded):
         brute_force_count(interval_box(51), 2)
+
+
+def test_brute_force_capped_by_pairs():
+    # interval:50,3 has 125,000 bases and 99^3 steps, far past the budget
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="brute force"):
+        brute_force_count(interval_box(50, 3), 3)
+    assert time.perf_counter() - start < 1.0
+    # boxes of any dimension within the budget are walked; count_lattice
+    # takes k <= n, and no 3 terms fit in a box of side 2
+    assert brute_force_count(interval_box(2, 4), 2).exact == count_lattice(2, 2, 4).exact
+    assert brute_force_count(interval_box(2, 4), 3).exact == 0
+    for k in (2, 3):
+        assert brute_force_count(interval_box(3, 4), k).exact == count_lattice(3, k, 4).exact
 
 
 def test_cycle_profile_matches_brute_profile():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -66,6 +68,25 @@ def test_index_roundtrip_all_families():
     for spec in specs:
         for i in range(spec.cardinality):
             assert canonical_index(spec, element_at(spec, i)) == i
+        # the radixes list each coordinate's values, read row-major
+        assert math.prod(spec.radixes) == spec.cardinality
+        low = 1 if spec.family == groups.INTERVAL else 0
+        values = [range(low, low + m) for m in spec.radixes]
+        assert list(elements(spec)) == list(itertools.product(*values))
+        # add is unreduced in a box and reduced modulo each modulus in a group
+        rng = random.Random(str(spec))
+        for _ in range(200):
+            x = element_at(spec, rng.randrange(spec.cardinality))
+            r = element_at(spec, rng.randrange(spec.cardinality))
+            times = rng.randint(-4, 4)
+            want = [a + times * b for a, b in zip(x, r)]
+            if spec.is_group:
+                want = [c % m for c, m in zip(want, spec.moduli)]
+            assert groups.add(spec, x, r, times) == tuple(want)
+            assert groups.add(spec, x, r) == groups.add(spec, x, r, 1)
+    assert groups.add(interval_box(4, 2), (4, 1), (1, 2), 2) == (6, 5)
+    assert groups.add(interval_box(4, 2), (1, 1), (1, 2), -1) == (0, -1)
+    assert groups.add(abelian(2, 4), (1, 1), (1, 2), -1) == (0, 3)
 
 
 def test_element_at_out_of_range():
