@@ -121,9 +121,12 @@ def bounds_interval(n: int, k: int) -> CountResult:
 
 
 def count_lattice(n: int, k: int, d: int) -> CountResult:
-    """Exact count for the box [1,n]^d: (P + n)^d - n^d with P the 1-dim count."""
+    """Exact count for the box [1,n]^d: (P + n)^d - n^d with P the 1-dim
+    count; 0 for k > n when d >= 2, as no progression has more than n terms."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    if d > 1 and k > n:
+        return _exact(0)
     p1 = count_interval(n, k).exact
     return _exact((p1 + n) ** d - n**d)
 

@@ -2,11 +2,14 @@
 algorithms, plus exact counting of k-term progression subsequences.
 
 Both algorithms take an ordering as canonical indices.  The walk engine of
-a set (length_engine) is built once per spec, for groups and interval boxes
-alike.  It keeps one step v of each pair {v, -v} and stores the lines of
-x -> x + v: the cycles of a group (walked once per cyclic subgroup), the
-maximal paths inside a box.  A rising run of positions along a line is a
-progression with step v, a falling run one with step -v.
+a set (length_engine) serves every ordering of one spec, for groups and
+interval boxes alike.  It keeps one step v of each pair {v, -v} and stores
+the lines of x -> x + v: the cycles of a group (listed once per cyclic
+subgroup from the smallest member of each coset), the maximal paths inside
+a box.  A rising run of positions along a line is a progression with step
+v, a falling run one with step -v.  Lines are built in bands of falling
+length as scans reach them: a random ordering of a large set has a short
+longest progression, so its scan never needs most of the short lines.
 length_of_indices probes only every best-th comparison of a line (below
 m + best - 1 on a cycle of length m) and extends each probe both ways;
 witness then lists the runs of that many terms and returns the smallest
@@ -36,8 +39,11 @@ from .errors import CapExceeded, InternalInvariantError
 from .groups import INTERVAL, AdditiveSetSpec
 
 PAIR_DP_CAP = 5000
-# A group engine stores about |A|^2 line entries, its walks being doubled
-# (cyclic:5000: 24,967,500); a box stores fewer (interval:1000: 416,166).
+# Built in full, a group engine stores about |A|^2 line entries, its walks
+# being doubled (cyclic:5000: 24,967,500); a box stores fewer (interval:1000:
+# 416,166; interval:5000: 10,414,166).  A scan builds only the bands it
+# reaches: after one random ordering, interval:1000 holds 124,000 entries and
+# interval:5000 2,495,000.
 ENGINE_CAP = 5000
 # Most orderings one Monte Carlo experiment draws (simulate exits 2 above
 # it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
@@ -199,18 +205,16 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
     if card == 1:
         return _singleton_result()
 
-    seq = ordering.seq
     ids = ordering.indices
-    # x_c counted from 0 is x_c less the least value, so a row starts at
-    # the coordinate's greatest value (that of the last element) less x_c
-    tops = groups.element_at(spec, card - 1)
-    diff_rows = list(zip(tops, spec.radixes, _diff_rows(spec)))
+    # with x_c counted from 0, a row starts at m - 1 - x_c: row-major order
+    # lists these starts for every canonical index
+    starts = list(itertools.product(*[range(m - 1, -1, -1) for m in spec.radixes]))
+    diff_rows = list(zip(spec.radixes, _diff_rows(spec)))
     dp: list[dict[int, int]] = [{}]
     best_len = 2
     for j in range(1, card):
         row = None
-        for x, (top, m, values) in zip(seq[j], diff_rows):
-            lo = top - x
+        for lo, (m, values) in zip(starts[ids[j]], diff_rows):
             part = values[lo : lo + m]
             row = part if row is None else [b + o for b in row for o in part]
         keys = map(row.__getitem__, ids[:j])
@@ -223,26 +227,31 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
     # The lexicographically smallest (base, step) among the chains of
     # maximal length, as coordinate tuples: their order is that of the base
     # index and the step key.  The chain ending at j with a step key is
-    # unique, and its base is seq[j] - (best_len - 1) * step.
+    # unique, and its base is the element listed at j less (best_len - 1)
+    # times the step.
     steps: dict[int, tuple] = {}
     best = None
     for j, dpj in enumerate(dp):
         if not dpj or max(dpj.values()) != best_len:
             continue
+        x = groups.element_at(spec, ids[j])
         for key, length in dpj.items():
             if length != best_len:
                 continue
             step = steps.get(key)
             if step is None:
                 step = steps[key] = _decode_step(spec, key)
-            cand = (groups.add(spec, seq[j], step, 1 - best_len), step)
+            cand = (groups.add(spec, x, step, 1 - best_len), step)
             if best is None or cand < best:
                 best = cand
     if best is None:
         raise InternalInvariantError("pair DP found no chain in a set of size >= 2")
     base, step = best
-    pos_of = {x: where for where, x in enumerate(seq)}
-    indices = tuple(pos_of[groups.add(spec, base, step, t)] for t in range(best_len))
+    pos = ordering.positions()
+    indices = tuple(
+        pos[groups.canonical_index(spec, groups.add(spec, base, step, t))]
+        for t in range(best_len)
+    )
     return LasResult(best_len, base, step, indices)
 
 
@@ -348,8 +357,9 @@ def _check_engine_cap(spec: AdditiveSetSpec) -> None:
         raise CapExceeded(f"length engines capped at |A| <= {ENGINE_CAP}")
 
 
-def _longest_run(lines, pos: Sequence[int]) -> int:
-    """Most terms of a monotone run of positions along any line.
+def _longest_run(lines, pos: Sequence[int], best: int) -> int:
+    """Most terms of a monotone run of positions along any line, or best if
+    none is longer.
 
     lines holds (m, line) pairs sorted by m, longest first: line lists
     canonical indices along x -> x + v, and m bounds the terms of any run in
@@ -359,7 +369,6 @@ def _longest_run(lines, pos: Sequence[int]) -> int:
     extended both ways while the direction holds, and the scan resumes
     best - 1 comparisons past the run's end.
     """
-    best = 2
     for m, line in lines:
         if m <= best:
             break
@@ -442,70 +451,165 @@ def _monotone_runs(line, pos: Sequence[int], size: int):
         t = hi + size - 2
 
 
-def _engine_witness(engine, idx_seq: Sequence[int]) -> LasResult:
-    """Longest progression of the ordering idx_seq with its witness: among
-    equal lengths the smallest (base index, step) wins, steps compared as
-    coordinate tuples (for a group, in the order of their canonical
-    indices).
+class _LineBands:
+    """Lines of a walk engine, built in bands as scans reach them.
 
-    A rising run along a line with step v is the progression with step v
-    from the run's first term; a falling run is the one with step -v from
-    the run's last term.  Each line's step is the difference of its first
-    two terms, decoded and subtracted by groups.  Length 2 needs no lines: the smallest base is the smallest
-    index not listed last, paired with the smallest step to an element
-    listed after it.
+    A band holds the lines of every box step or group subgroup that shares
+    one bound on its lines' terms (1 + (n - 1) // max|v_i| for a box step
+    v, the order of a subgroup); bands are built in falling order of bound.
+    _built lists, longest first, the built lines with more terms than
+    _reach, the bound of the next unbuilt band (0 once every band is
+    built).  A built line of at most _reach terms waits in _held, by its
+    term count, until no unbuilt line can be longer.  So a scan that has
+    found a run of best terms builds the next band only while _reach >
+    best, and a witness of best terms also while _reach == best.
     """
-    spec = engine.spec
-    if engine.card == 1:
-        return _singleton_result()
-    pos = engine._pos
-    for where, idx in enumerate(idx_seq):
-        pos[idx] = where
-    best = _longest_run(engine.lines, pos)
-    at = functools.partial(groups.element_at, spec)
-    add = functools.partial(groups.add, spec)
-    if best == 2:
-        base = 0 if idx_seq[-1] != 0 else 1
-        x = at(base)
-        step, last = min((add(at(y), x, -1), y) for y in idx_seq[pos[base] + 1 :])
-        return LasResult(2, x, step, (pos[base], pos[last]))
-    best_key = None
-    for m, line in engine.lines:
-        if m < best:
-            break
-        steps = None
-        for lo, hi, rising in _monotone_runs(line, pos, best):
-            base = line[lo] if rising else line[hi]
-            if best_key is not None and base > best_key[0]:
-                continue
-            if steps is None:
-                x, y = at(line[0]), at(line[1])
-                steps = (add(y, x, -1), add(x, y, -1))
-            key = (base, steps[0] if rising else steps[1])
-            if best_key is None or key < best_key:
-                best_key = key
-                terms = line[lo : hi + 1]
-    if best_key is None:
-        raise InternalInvariantError(f"no run of {best} terms found on a line")
-    indices = tuple(sorted(map(pos.__getitem__, terms)))
-    return LasResult(best, groups.element_at(spec, best_key[0]), best_key[1], indices)
+
+    def _plan(self, todo: list) -> None:
+        """Set up the bands from (bound, step or subgroup) pairs."""
+        todo.sort(key=itemgetter(0))
+        self._todo = todo
+        self._held: dict[int, list] = {}
+        self._built: list = []
+        self._reach = todo[-1][0] if todo else 0
+        self._pos = [0] * self.card
+
+    def _grow(self):
+        """Build the next band and return an iterator over the lines it
+        adds to _built, longest first."""
+        todo, held, built = self._todo, self._held, self._built
+        bound = todo[-1][0]
+        items = []
+        while todo and todo[-1][0] == bound:
+            items.append(todo.pop()[1])
+        fresh = self._band(bound, items)
+        fresh.sort(key=itemgetter(0), reverse=True)
+        for m, run in itertools.groupby(fresh, itemgetter(0)):
+            held.setdefault(m, []).extend(run)
+        del fresh
+        reach = self._reach = todo[-1][0] if todo else 0
+        start = len(built)
+        for m in sorted([m for m in held if m > reach], reverse=True):
+            built += held.pop(m)
+        return itertools.islice(built, start, None)
+
+    @property
+    def lines(self) -> list:
+        """Every line as an (m, line) pair, longest first, building the
+        bands not built yet."""
+        while self._reach:
+            self._grow()
+        return self._built
+
+    def _scan(self, pos: Sequence[int]) -> int:
+        """Longest run on any line, building bands while an unbuilt line
+        could hold a longer one."""
+        best = _longest_run(self._built, pos, 2)
+        while self._reach > best:
+            best = _longest_run(self._grow(), pos, best)
+        return best
+
+    def witness(self, idx_seq: Sequence[int]) -> LasResult:
+        """Longest progression of the ordering idx_seq with its witness:
+        among equal lengths the smallest (base index, step) wins, steps
+        compared as coordinate tuples (for a group, in the order of their
+        canonical indices).
+
+        A rising run along a line with step v is the progression with step
+        v from the run's first term; a falling run is the one with step -v
+        from the run's last term.  Each line's step is the difference of
+        its first two terms, decoded and subtracted by groups.  Length 2
+        needs no lines: the smallest base is the smallest index not listed
+        last, paired with the smallest step to an element listed after it.
+        """
+        spec = self.spec
+        if self.card == 1:
+            return _singleton_result()
+        pos = self._pos
+        for where, idx in enumerate(idx_seq):
+            pos[idx] = where
+        best = self._scan(pos)
+        at = functools.partial(groups.element_at, spec)
+        add = functools.partial(groups.add, spec)
+        if best == 2:
+            base = 0 if idx_seq[-1] != 0 else 1
+            x = at(base)
+            step, last = min((add(at(y), x, -1), y) for y in idx_seq[pos[base] + 1 :])
+            return LasResult(2, x, step, (pos[base], pos[last]))
+        while self._reach >= best:  # lines of exactly best terms hold witnesses
+            self._grow()
+        best_key = None
+        for m, line in self._built:
+            if m < best:
+                break
+            steps = None
+            for lo, hi, rising in _monotone_runs(line, pos, best):
+                base = line[lo] if rising else line[hi]
+                if best_key is not None and base > best_key[0]:
+                    continue
+                if steps is None:
+                    x, y = at(line[0]), at(line[1])
+                    steps = (add(y, x, -1), add(x, y, -1))
+                key = (base, steps[0] if rising else steps[1])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    terms = line[lo : hi + 1]
+        if best_key is None:
+            raise InternalInvariantError(f"no run of {best} terms found on a line")
+        indices = tuple(sorted(map(pos.__getitem__, terms)))
+        return LasResult(best, at(best_key[0]), best_key[1], indices)
 
 
-class GroupLengthEngine:
+@functools.lru_cache(maxsize=None)
+def _half_units(m: int) -> tuple[int, ...]:
+    """The units u < m / 2 of Z/mZ."""
+    return tuple(u for u in range(1, (m + 1) // 2) if math.gcd(u, m) == 1)
+
+
+def _coset_starts(spec: AdditiveSetSpec, v: tuple, ids: list) -> list[int]:
+    """The smallest canonical index of each coset of <v>, rising, as
+    members of ids.
+
+    Coordinates before v's first nonzero one, c, are free.  The values at c
+    of a coset run through a coset of <g>, g = gcd(v_c, m_c), so its least
+    one is below g; the members of that value differ by multiples of e * v,
+    e = m_c / g, which are 0 up to c, and the later coordinates recurse on
+    e * v.  The indices so chosen are runs of size consecutive indices from
+    each of firsts: a free coordinate lengthens every run, a bounded one
+    cuts each index of a run into a run of its own.
+    """
+    firsts, size = [0], 1
+    for c, mc in enumerate(spec.moduli):
+        if not v[c]:
+            firsts, size = [f * mc for f in firsts], size * mc
+            continue
+        top = math.gcd(v[c], mc)
+        v = groups.add(spec, (0,) * len(v), v, mc // top)
+        firsts, size = [s * mc for f in firsts for s in range(f, f + size)], top
+    starts: list[int] = []
+    for f in firsts:
+        starts += ids[f : f + size]
+    return starts
+
+
+class GroupLengthEngine(_LineBands):
     """Walk engine, reusable across many orderings of one group spec.
 
-    The build keeps one step v of each pair {v, -v} of order at least 3 and
-    stores each cycle of x -> x + v walked as cyc + cyc[:-1], so every
+    The lines are the cycles of x -> x + v for one step v of each pair
+    {v, -v} of order at least 3, each walked as cyc + cyc[:-1] so every
     cyclic window of the cycle is a slice of the walk, and the scan probes
-    it below comparison m + best - 1 only.  The cosets of each cyclic
-    subgroup <v> of order m are walked once; for each unit u < m / 2 the
-    cycles of u * v read them at i * u mod m.  Order-2 subgroups only give
-    2-term progressions, which every set of two or more elements has.
+    it below comparison m + best - 1 only.  The constructor finds each
+    cyclic subgroup <v> of order m >= 3 by its smallest generator; the band
+    of order m lists the cosets of each such subgroup once, as columns
+    mapped from their smallest members through the successor table of v,
+    and for each unit u < m / 2 reads the cycles of u * v from them at
+    i * u mod m.  Order-2 subgroups only give 2-term progressions, which
+    every set of two or more elements has.
 
     length_of_indices(idx_seq) fills the engine's position buffer from the
     canonical-index sequence and scans it with length_of_positions(pos),
     where pos[canonical index] = position in the ordering.  witness(idx_seq)
-    returns the LasResult (see _engine_witness).
+    returns the LasResult.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -514,33 +618,58 @@ class GroupLengthEngine:
         _check_engine_cap(spec)
         self.spec = spec
         self.card = card = spec.cardinality
-        ids = list(range(card))  # walks share these int objects
+        self._ids = list(range(card))  # lines share these int objects
+        weights = [card // math.prod(spec.moduli[: c + 1]) for c in range(len(spec.moduli))]
         done = bytearray(card)
-        lines = []
+        todo = []
         for step_idx in range(1, card):
             if done[step_idx]:
                 continue
-            if groups.element_order(spec, groups.element_at(spec, step_idx)) < 3:
+            v = groups.element_at(spec, step_idx)
+            m = groups.element_order(spec, v)
+            if m < 3:
                 continue
-            # the cycles of every generator u * v of <v> are its cosets
-            cosets = [[*map(ids.__getitem__, c)] for c in step_cycles(spec, step_idx)]
-            multiples = cosets[0]  # multiples[u] = u * v
-            m = len(multiples)
-            for u in range(1, (m + 1) // 2):
-                if math.gcd(u, m) == 1:
-                    done[multiples[u]] = done[multiples[m - u]] = 1
-                    perm = list(map(m.__rmod__, range(0, m * u, u)))
-                    walk = itemgetter(*perm, *perm[:-1])
-                    lines += [(m, walk(cyc)) for cyc in cosets]
-        # longer cycles first so the m <= best cut fires often
-        lines.sort(key=itemgetter(0), reverse=True)
-        self.lines = lines
-        self._pos = [0] * card
+            todo.append((m, v))
+            # the generators u * v and -(u * v) of <v> need no band of their own
+            digits = list(zip(v, spec.moduli, weights))
+            for u in _half_units(m):
+                for t in (u, m - u):
+                    done[sum(t * a % mc * w for a, mc, w in digits)] = 1
+        self._plan(todo)
+
+    def _band(self, m: int, subgroups: list) -> list:
+        ids = self._ids
+        # the doubled walk of unit u reads t * u mod m for t < 2m - 1: runs
+        # sliced in strides of u from 64 copies of range(m), each run
+        # resuming where the last one passed the end, less the copies' length
+        rep = tuple(range(m)) * 64
+        getters = []
+        for u in _half_units(m)[1:]:
+            perm: list[int] = []
+            start = 0
+            while len(perm) < 2 * m - 1:
+                run = rep[start : start + (2 * m - 1 - len(perm)) * u : u]
+                perm += run
+                start += len(run) * u - len(rep)
+            getters.append(itemgetter(*perm))
+        lines = []
+        for v in subgroups:
+            succ = itemgetter(*counting._succ_table(self.spec, v))(ids)
+            col = _coset_starts(self.spec, v, ids)
+            cols = [col]
+            for _ in range(m - 1):
+                col = [*map(succ.__getitem__, col)]
+                cols.append(col)
+            walks = [*zip(*cols, *cols[:-1])]  # walk[i] = start + i * v, doubled
+            lines += zip(itertools.repeat(m), walks)
+            for get in getters:
+                lines += zip(itertools.repeat(m), map(get, walks))
+        return lines
 
     def length_of_positions(self, pos: Sequence[int]) -> int:
         if self.card == 1:
             return 1
-        return _longest_run(self.lines, pos)
+        return self._scan(pos)
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
         pos = self._pos
@@ -548,17 +677,16 @@ class GroupLengthEngine:
             pos[idx] = where
         return self.length_of_positions(pos)
 
-    witness = _engine_witness
 
-
-class IntervalLengthEngine:
+class IntervalLengthEngine(_LineBands):
     """Walk engine for interval boxes, on canonical index sequences.
 
-    The build keeps one step v of each pair {v, -v} (first nonzero
-    coordinate positive) with every |v_i| <= (n - 1) / 2, and stores each
-    maximal path x, x + v, ... inside the box with at least 3 terms, as the
-    row-major indices from x in strides of v's index delta.  The scan and
-    the witness are the group engine's.
+    The lines are the maximal paths x, x + v, ... inside the box with at
+    least 3 terms, for one step v of each pair {v, -v} (first nonzero
+    coordinate positive) with every |v_i| <= (n - 1) / 2, as the row-major
+    indices from x in strides of v's index delta.  A path of step v has at
+    most 1 + (n - 1) // max|v_i| terms, the bound of v's band.  The scan
+    and the witness are the group engine's.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -567,31 +695,35 @@ class IntervalLengthEngine:
         _check_engine_cap(spec)
         self.spec = spec
         self.card = card = spec.cardinality
-        n, d = spec.n, spec.d
-        strides = [n ** (d - 1 - i) for i in range(d)]
-        half = (n - 1) // 2
         # paths share these int objects; as tuple slices they are tuples,
         # which the cyclic garbage collector stops tracking
-        ids = tuple(range(card))
+        self._ids = tuple(range(card))
+        n, d = spec.n, spec.d
+        half = (n - 1) // 2
+        if d == 1:
+            steps = [(v,) for v in range(1, half + 1)]
+        else:
+            origin = (0,) * d
+            steps = [v for v in itertools.product(range(-half, half + 1), repeat=d) if v > origin]
+        self._plan([(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
+
+    def _band(self, bound: int, steps: list) -> list:
+        n, d, ids = self.spec.n, self.spec.d, self._ids
         lines = []
         if d == 1:
             # the paths of step v start at x < v; 3 terms need x < n - 2v
-            for v in range(1, half + 1):
+            for (v,) in steps:
                 paths = [ids[x::v] for x in range(min(v, n - 2 * v))]
                 lines += zip(map(len, paths), paths)
-        else:
-            origin = (0,) * d
-            for v in itertools.product(range(-half, half + 1), repeat=d):
-                if v <= origin:
-                    continue
-                delta = sum(c * s for c, s in zip(v, strides))
-                lines += [
-                    (cnt, ids[idx : idx + cnt * delta : delta])
-                    for idx, cnt in _box_path_starts(n, v, strides)
-                ]
-        lines.sort(key=itemgetter(0), reverse=True)
-        self.lines = lines
-        self._pos = [0] * card
+            return lines
+        strides = [n ** (d - 1 - i) for i in range(d)]
+        for v in steps:
+            delta = sum(c * s for c, s in zip(v, strides))
+            lines += [
+                (cnt, ids[idx : idx + cnt * delta : delta])
+                for idx, cnt in _box_path_starts(n, v, strides)
+            ]
+        return lines
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
         if self.card == 1:
@@ -599,9 +731,7 @@ class IntervalLengthEngine:
         pos = self._pos
         for where, idx in enumerate(idx_seq):
             pos[idx] = where
-        return _longest_run(self.lines, pos)
-
-    witness = _engine_witness
+        return self._scan(pos)
 
 
 def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:

@@ -51,6 +51,15 @@ def test_count_methods_agree(capsys):
     assert doc["lower"] == 384 and doc["upper"] == 992
 
 
+def test_count_box_k_above_n(capsys):
+    code, out, _ = run_main(capsys, "count", "--set", "interval:2,4", "--k", "3")
+    assert code == 0
+    assert out == "0\n"
+    code, _, err = run_main(capsys, "count", "--set", "interval:2", "--k", "3")
+    assert code == 1
+    assert "k must be in [2, 2]" in err
+
+
 def test_las_value_sequence(capsys):
     code, out, _ = run_main(
         capsys, "las", "--set", "interval:7", "--sequence", "2,7,1,6,3,4,5"

@@ -56,6 +56,14 @@ def test_interval_domain_errors():
             count_interval(n, k)
 
 
+def test_count_lattice_k_above_n_is_zero():
+    # a box of side n holds no progression of more than n terms
+    for n, d in [(2, 4), (3, 4), (2, 2), (4, 3)]:
+        assert count_lattice(n, n + 1, d).exact == 0
+    for n in (2, 3):
+        assert brute_force_count(interval_box(n, 4), n + 1).exact == 0
+
+
 def test_bounds_interval_examples():
     b = bounds_interval(7, 4)
     assert (b.lower, b.upper) == (7, 11)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from apseq import groups
+from apseq import enumeration, groups
 from apseq.counting import iter_progressions
 from apseq.errors import CapExceeded
 from apseq.groups import abelian, cyclic, elementary, interval_box, parse_set_spec
@@ -538,6 +538,12 @@ def test_group_engine_lines_are_the_cycles(text):
     assert sorted(got) == sorted(want)
 
 
+@pytest.mark.parametrize("text", ["cyclic:98", "abelian:3x69"])
+def test_group_engine_walks_of_large_units_are_the_cycles(text):
+    # a walk of a unit u above 32 is read from range(m) * 64 in several runs
+    test_group_engine_lines_are_the_cycles(text)
+
+
 def test_group_engine_translations_match_pairdp():
     # the translates of an ordering put its longest runs at every offset of
     # their cycles, where the scan's probe window must still find them
@@ -554,6 +560,67 @@ def test_group_engine_translations_match_pairdp():
             for row in maps:
                 image = [row[x] for x in perm]
                 assert engine.length_of_indices(image) == want, (text, image)
+
+
+@pytest.mark.parametrize("text", ["cyclic:16", "interval:16"])
+def test_length_engines_agree_in_any_feed_order(text):
+    # bands are built as scans reach them: the 3-free orderings (L = 2)
+    # build every band at once, random ones only the long bands; one engine
+    # sees the 3-free orderings first, the other the same orderings reversed
+    spec = parse_set_spec(text)
+    rnd = random.Random(text)
+    three_free = [o.indices for o in enumeration.three_free_orderings(4)]
+    randoms = []
+    for _ in range(40):
+        perm = list(range(16))
+        rnd.shuffle(perm)
+        randoms.append(tuple(perm))
+    # the pair DP takes about 0.4 ms per 3-free ordering, so it checks every
+    # 64th; all of them have L = 2 (test_criterion_04_three_free_structure)
+    want = {perm: 2 for perm in three_free}
+    for perm in three_free[::64]:
+        assert longest_ap_pairdp(_ordering(spec, perm)).length == 2
+    for perm in randoms:
+        want[perm] = longest_ap_pairdp(_ordering(spec, perm)).length
+    feed = three_free + randoms
+    for order in (feed, feed[::-1]):
+        engine = length_engine(spec)
+        for perm in order:
+            assert engine.length_of_indices(perm) == want[perm], (text, perm)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["interval:60", "interval:9,2", "interval:5,3", "cyclic:60", "abelian:4x8",
+     "abelian:3x3x9", "abelian:2x6x12"],
+)
+def test_witness_after_partial_build_matches_pairdp(text):
+    spec = parse_set_spec(text)
+    rnd = random.Random(text)
+    perms = []
+    for _ in range(12):
+        perm = list(range(spec.cardinality))
+        rnd.shuffle(perm)
+        perms.append(perm)
+    scanned = length_engine(spec)
+    scanned.length_of_indices(perms[0])
+    assert scanned._reach > 2  # the scan left short bands unbuilt
+    fresh = length_engine(spec)
+    for perm in perms:
+        want = longest_ap_pairdp(_ordering(spec, perm))
+        assert fresh.witness(perm) == want, (text, perm)
+        assert scanned.witness(perm) == want, (text, perm)
+
+
+def test_interval_engine_builds_few_lines_for_a_random_ordering():
+    spec = interval_box(1000)
+    engine = length_engine(spec)
+    perm = list(range(1000))
+    random.Random(1).shuffle(perm)
+    got = engine.length_of_indices(perm)
+    built = len(engine._built) + sum(map(len, engine._held.values()))
+    assert built <= 0.15 * len(engine.lines)  # .lines builds every band
+    assert engine.length_of_indices(perm) == got
 
 
 def _chains(limit, depth, smallest=2):
