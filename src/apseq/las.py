@@ -132,7 +132,9 @@ def _singleton_result() -> LasResult:
 
 
 def step_cycles(spec: AdditiveSetSpec, step_idx: int) -> list[list[int]]:
-    """Cycles of x -> x + step over canonical indices, for a group family."""
+    """Cycles of x -> x + step over canonical indices, for a group family,
+    walked node by node: the reference the group engine's lines are
+    checked against."""
     r = groups.element_at(spec, step_idx)
     succ = counting._succ_table(spec, r)
     card = spec.cardinality
