@@ -468,7 +468,9 @@ class _LineBands:
     """
 
     def _plan(self, todo: list) -> None:
-        """Set up the bands from (bound, step or subgroup) pairs."""
+        """Set up the bands from (bound, step or subgroup) pairs; the
+        engine's _band(bound, items) returns the (m, line) pairs of the
+        items of one bound."""
         todo.sort(key=itemgetter(0))
         self._todo = todo
         self._held: dict[int, list] = {}
