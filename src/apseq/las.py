@@ -490,7 +490,7 @@ class _LineBands:
         fresh.sort(key=itemgetter(0), reverse=True)
         for m, run in itertools.groupby(fresh, itemgetter(0)):
             held.setdefault(m, []).extend(run)
-        del fresh
+        del fresh  # held has the lines: free this copy before built grows
         reach = self._reach = todo[-1][0] if todo else 0
         start = len(built)
         for m in sorted([m for m in held if m > reach], reverse=True):
