@@ -8,13 +8,9 @@ failed invariant, a golden-table mismatch or any unexpected exception).
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import importlib.resources
 import io
 import json
 import os
-import pathlib
 import sys
 
 from . import __version__, asymptotics, counting, enumeration, groups, las, montecarlo
@@ -189,7 +185,8 @@ def _cmd_enumerate(args) -> int:
     if args.csv:
         card = spec.cardinality
         csv_text = _distribution_csv([(card, table.row())], card)
-        pathlib.Path(args.csv).write_text(csv_text, encoding="utf-8", newline="")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text)
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.json:
         _emit_json(_envelope("enumerate", params, result))
@@ -258,6 +255,8 @@ def _cmd_simulate(args) -> int:
         mode = "histogram"
     params["mode"] = mode
     if args.csv_out:
+        import csv
+
         with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             if mode == "histogram":
@@ -305,6 +304,10 @@ def _cmd_nonabelian(args) -> int:
 
 
 def _golden_rows(family: str) -> dict[int, list[int]]:
+    import csv
+    import hashlib
+    import importlib.resources
+
     name = GOLDEN_FILES[family]
     data = importlib.resources.files("apseq.data")
     raw = data.joinpath(name).read_bytes()
@@ -325,6 +328,8 @@ def _golden_rows(family: str) -> dict[int, list[int]]:
 
 def _distribution_csv(rows: list[tuple[int, list[int]]], max_k: int) -> str:
     """Rows (n, counts for k = 1, 2, ...) as CSV with columns k1..k{max_k}."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n"] + [f"k{k}" for k in range(1, max_k + 1)])
@@ -334,6 +339,8 @@ def _distribution_csv(rows: list[tuple[int, list[int]]], max_k: int) -> str:
 
 
 def _cmd_tables(args) -> int:
+    if args.max_n < 1:
+        raise _UsageError(f"--max-n must be >= 1, got {args.max_n}")
     family = args.family
     golden = _golden_rows(family)
     rows = []
@@ -352,7 +359,8 @@ def _cmd_tables(args) -> int:
     text = _distribution_csv(rows, args.max_n)
     sys.stdout.write(text)
     if args.csv:
-        pathlib.Path(args.csv).write_text(text, encoding="utf-8", newline="")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     for n, msg in mismatches:
         print(f"row {n}: {msg}", file=sys.stderr)
     if mismatches:

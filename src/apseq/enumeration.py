@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -301,6 +300,8 @@ def _structure_check_values(values: list[int]) -> bool:
 
 
 def _entry_checksum(spec_text: str, version: str, counts, total) -> str:
+    import hashlib
+
     payload = json.dumps([spec_text, version, list(counts), total], separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -20,6 +20,10 @@ from .groups import AdditiveSetSpec
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# estimate_Nk_mean keeps every progression k-ordering as an index tuple, in
+# each pool worker.  10^6 tuples (about 140 MB) admit cyclic:1000 at k = 3.
+NK_TUPLE_BUDGET = 10**6
+
 
 def _fmix64(z: int) -> int:
     """murmur3 64-bit finalizer; bijective avalanche mix."""
@@ -98,6 +102,8 @@ class ExperimentConfig:
     k: int | None = None
 
     def __post_init__(self):
+        if not 0 <= self.seed <= _M64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.samples > las.SAMPLE_CAP:
@@ -147,13 +153,19 @@ def estimate_Nk_mean(
     if config.k is None:
         raise ValueError("config.k is required")
     spec, m, k = config.spec, config.samples, config.k
+    count = counting.count_for_set(spec, k).exact
+    if count > NK_TUPLE_BUDGET:
+        raise CapExceeded(
+            f"{spec} has {count} progression {k}-orderings; "
+            f"N_k sampling is capped at {NK_TUPLE_BUDGET}"
+        )
     values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]
 
     # integer sums keep the statistics independent of chunking
     total = sum(values)
     total_sq = sum(v * v for v in values)
     mean = total / m
-    expected = counting.count_for_set(spec, k).exact / math.factorial(k)
+    expected = count / math.factorial(k)
     if m > 1:
         var = (total_sq - total * total / m) / (m - 1)
         stderr = math.sqrt(max(var, 0.0) / m)

@@ -5,6 +5,7 @@ import multiprocessing
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -386,6 +387,96 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+LAZY_MODULES = ("asymptotics", "counting", "enumeration", "las", "montecarlo", "nonabelian")
+
+# Imports apseq.cli, runs main on the command line given as arguments (if
+# any), then reports which apseq modules have run their code.  A module that
+# has run has __builtins__ in its namespace; the raw __dict__ is read with
+# object.__getattribute__ so that the check itself loads nothing.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import apseq.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert apseq.cli.main(sys.argv[1:]) == 0
+ran = {
+    name.removeprefix("apseq."): "__builtins__" in object.__getattribute__(mod, "__dict__")
+    for name, mod in sys.modules.items()
+    if name.startswith("apseq.")
+}
+print(json.dumps({"ran": ran, "stdlib": [m for m in ("hashlib", "csv") if m in sys.modules]}))
+"""
+
+
+def _probe_modules(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_runs_no_command_module():
+    probe = _probe_modules()
+    ran = probe["ran"]
+    # every module the benchmark tracer wraps is registered, so it can wrap it
+    assert {"groups", *LAZY_MODULES} <= set(ran)
+    assert [name for name in LAZY_MODULES if ran[name]] == []
+    assert ran["groups"] and ran["errors"]
+    assert probe["stdlib"] == []
+
+
+def test_simulate_histogram_runs_only_its_modules():
+    ran = _probe_modules("simulate", "--set", "cyclic:30", "--samples", "5", "--seed", "1",
+                         "--histogram")["ran"]
+    assert ran["montecarlo"] and ran["las"]
+    assert not (ran["enumeration"] or ran["nonabelian"] or ran["asymptotics"])
+
+
+def test_enumerate_runs_only_its_modules():
+    ran = _probe_modules("enumerate", "--set", "cyclic:6")["ran"]
+    assert ran["enumeration"]
+    assert not (ran["montecarlo"] or ran["nonabelian"])
+
+
+def test_simulate_nk_above_tuple_budget_exit_code(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started above the tuple budget")
+
+    monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:3000", "--k", "3",
+                              "--samples", "2", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err and str(cli.montecarlo.NK_TUPLE_BUDGET) in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+def test_simulate_seed_out_of_range_is_usage_error(seed, capsys):
+    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:10", "--samples", "2",
+                              "--seed", seed, "--histogram")
+    assert code == 1
+    assert out == ""
+    assert "seed must be in [0, 2^64)" in err
+
+
+def test_simulate_largest_seed_is_accepted(capsys):
+    code, out, _ = run_main(capsys, "simulate", "--set", "cyclic:10", "--samples", "2",
+                            "--seed", str(2**64 - 1), "--histogram", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_tables_max_n_below_one_is_usage_error(max_n, capsys):
+    code, out, err = run_main(capsys, "tables", "--family", "cyclic", "--max-n", max_n)
+    assert code == 1
+    assert out == ""
+    assert "--max-n must be >= 1" in err
 
 
 def test_cache_dir_env(tmp_path):
