@@ -339,8 +339,8 @@ def _distribution_csv(rows: list[tuple[int, list[int]]], max_k: int) -> str:
 
 
 def _cmd_tables(args) -> int:
-    if args.max_n < 1:
-        raise _UsageError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_n < 0:
+        raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
     family = args.family
     golden = _golden_rows(family)
     rows = []
