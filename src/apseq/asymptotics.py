@@ -5,7 +5,7 @@ integer nodes 2..k_max to the reals, is matched against Gamma(x+1); the
 crossing point is where the expected number of embedded k-progressions in a
 random ordering passes 1, and the typical length concentrates on its
 floor/ceiling.  k_max, the largest k with a positive count, is n for boxes
-and cyclic groups and the exponent of any other group.  The window is decided
+and the exponent of a group (n for a cyclic group).  The window is decided
 by exact integer comparison of count(k) with k!; floats only place the value.
 """
 
@@ -46,7 +46,7 @@ def log_count(spec: AdditiveSetSpec, k: int) -> float:
 
 def _k_max(spec: AdditiveSetSpec) -> int:
     """Largest k with a positive count."""
-    return spec.n if spec.family in (INTERVAL, CYCLIC) else spec.exponent
+    return spec.n if spec.family == INTERVAL else spec.exponent
 
 
 def _check_mode(spec: AdditiveSetSpec, mode: str) -> None:
@@ -117,7 +117,7 @@ def solve_threshold(spec: AdditiveSetSpec, mode: str = "interp") -> ThresholdRes
 
     asym = None
     if spec.family in (INTERVAL, CYCLIC) and spec.n >= 3:
-        asym = asymptotic_estimate(spec.n, spec.d if spec.family == INTERVAL else 1)
+        asym = asymptotic_estimate(spec.n, spec.dimension)
 
     k = 2
     while k < k_max and _excess(spec, k + 1, mode) > 0:

@@ -38,7 +38,7 @@ BOUNDS_ONLY = "BoundsOnly"
 # that admits |A| <= 10^4.
 BRUTE_PAIR_BUDGET = 10**8
 DEFAULT_INTERVAL_BRUTE_N = 50
-DEFAULT_ENUM_CAP = 10**7
+ENUM_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
         table = ids[c:m] + [-1] * c
     else:
         table = [-1] * -c + ids[: m + c]
-    size = m
-    for m, c in zip(spec.radixes[-2::-1], r[-2::-1]):
+    for m, c, size in zip(spec.radixes[-2::-1], r[-2::-1], spec.strides[-2::-1]):
         pick = itemgetter(*table)
         gone = (-1,) * size
         nxt: list[int] = []
@@ -267,7 +266,6 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
                 continue
             nxt += pick(ids[y * size : (y + 1) * size] + [-1])
         table = nxt
-        size *= m
     return table
 
 
@@ -373,16 +371,14 @@ def brute_force_count(spec: AdditiveSetSpec, k: int) -> CountResult:
     return CountResult(counts[k], counts[k], BRUTE_FORCE, counts[k])
 
 
-def check_enum_cap(spec: AdditiveSetSpec, enum_cap: int) -> None:
-    """Raise CapExceeded when the set has more than enum_cap candidate
+def check_enum_cap(spec: AdditiveSetSpec) -> None:
+    """Raise CapExceeded when the set has more than ENUM_CAP candidate
     (base, step) pairs."""
-    if _candidate_pairs(spec) > enum_cap:
-        raise CapExceeded(f"progression enumeration capped at {enum_cap} pairs")
+    if _candidate_pairs(spec) > ENUM_CAP:
+        raise CapExceeded(f"progression enumeration capped at {ENUM_CAP} pairs")
 
 
-def iter_progressions(
-    spec: AdditiveSetSpec, k: int, *, enum_cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[tuple[APSpec, tuple]]:
+def iter_progressions(spec: AdditiveSetSpec, k: int) -> Iterator[tuple[APSpec, tuple]]:
     """Yield every progression k-ordering of the set as (APSpec, terms).
 
     Each valid progression corresponds to exactly one (base, step) pair.
@@ -392,7 +388,7 @@ def iter_progressions(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    check_enum_cap(spec, enum_cap)
+    check_enum_cap(spec)
     elems = list(groups.elements(spec))
     card = len(elems)
     visited = [-1] * card

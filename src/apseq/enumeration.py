@@ -135,7 +135,6 @@ def distribution(
     *,
     symmetry_reduction: bool = False,
     parallel: int | None = None,
-    budget: int | None = None,
     cache_dir: str | None = None,
 ) -> DistributionTable:
     """Tally the longest-progression length over all |A|! orderings.
@@ -151,12 +150,13 @@ def distribution(
     divisor e of n and is the lexicographic minimum of its images that do
     the same, with weight 2n*phi(n), halved when one of them is itself.
     The reduction is opt-in and is validated against unreduced enumeration
-    in the test suite.
+    in the test suite.  The budget follows the work that runs: |A| <=
+    PARALLEL_BUDGET under symmetry reduction or a pool of two or more
+    workers, |A| <= SERIAL_BUDGET otherwise.
     """
     card = spec.cardinality
-    limit = budget if budget is not None else (
-        PARALLEL_BUDGET if parallel else SERIAL_BUDGET
-    )
+    pooled = parallel is not None and parallel > 1 and not symmetry_reduction
+    limit = PARALLEL_BUDGET if symmetry_reduction or pooled else SERIAL_BUDGET
     if card > limit:
         raise CapExceeded(f"enumeration budget is |A| <= {limit}, got {card}")
 
@@ -174,7 +174,7 @@ def distribution(
             raise ValueError(
                 "symmetry reduction supports the interval (d=1) and cyclic families"
             )
-    elif parallel and parallel > 1 and card > 2:
+    elif pooled and card > 2:
         prefixes = [
             (i, j) for i in range(card) for j in range(card) if i != j
         ]

@@ -4,29 +4,34 @@ Elements are plain tuples of ints (coordinate vectors).  Group families reduce
 coordinates modulo per-coordinate moduli; the interval family lives in the
 ambient lattice Z^d, so its addition is unreduced and may leave the box.
 
-This module owns the element codec and the ambient addition, which every
-other module calls rather than re-deriving: canonical_index and element_at
-read coordinates row-major in spec.radixes (box coordinates start at 1,
-group coordinates at 0), and add(spec, x, r, times) forms x + times * r.
+Each AdditiveSetSpec decides its shape once, at construction: radixes,
+row-major strides, cardinality and coordinate origin, which every other
+module reads rather than re-deriving.  This module also owns the element
+codec and the ambient addition: canonical_index and element_at read
+coordinates row-major in spec.radixes from spec.origin (1 in a box, 0 in a
+group), and add(spec, x, r, times) forms x + times * r.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .errors import CapExceeded
 
 # Specs whose cardinality exceeds this are rejected at construction so that
 # index arithmetic stays comfortably inside machine-word range.
 MAX_CARDINALITY = 10**7
+# Every coordinate of more than one value at least doubles |A|, so no set
+# within the cap has more coordinates than this, bar the one-point interval:1,d.
+MAX_DIMENSION = MAX_CARDINALITY.bit_length()
 
 INTERVAL = "interval"
 CYCLIC = "cyclic"
 ABELIAN = "abelian"
 ELEMENTARY = "elementary"
-
-GROUP_FAMILIES = (CYCLIC, ABELIAN, ELEMENTARY)
 
 Element = tuple
 
@@ -116,6 +121,13 @@ class AdditiveSetSpec:
 
     family: one of INTERVAL ([1,n]^d in Z^d), CYCLIC (Z/nZ), ABELIAN
     (Z/n_1 x ... x Z/n_d with n_1 | n_2 | ... | n_d), ELEMENTARY ((Z/pZ)^d).
+
+    The constructor decides the set's shape once, and every module reads
+    it: radixes (the values each coordinate takes), strides (the row-major
+    weight of each coordinate), cardinality (|A|) and origin (the least
+    coordinate: 1 in a box, 0 in a group).  A set with more than
+    MAX_DIMENSION coordinates or MAX_CARDINALITY elements raises
+    CapExceeded before its size is computed in full.
     """
 
     family: str
@@ -123,14 +135,23 @@ class AdditiveSetSpec:
     d: int = 1
     p: int = 0
     factors: tuple[int, ...] = ()
+    radixes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    cardinality: int = field(init=False, repr=False, compare=False)
+    origin: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.d > MAX_DIMENSION:  # before (n,) * d is built
+            raise CapExceeded(f"{self} exceeds the cap of {MAX_DIMENSION} coordinates")
         if self.family == INTERVAL:
             if self.n < 1 or self.d < 1:
                 raise ValueError("interval box requires n >= 1 and d >= 1")
+            radixes = (self.n,) * self.d
+            object.__setattr__(self, "origin", 1)
         elif self.family == CYCLIC:
             if self.n < 1:
                 raise ValueError("cyclic group requires n >= 1")
+            radixes = (self.n,)
         elif self.family == ABELIAN:
             object.__setattr__(self, "factors", tuple(self.factors))
             if not self.factors:
@@ -143,68 +164,49 @@ class AdditiveSetSpec:
                         "factors must form a divisibility chain; "
                         "use normalize_invariant_factors first"
                     )
+            radixes = self.factors
         elif self.family == ELEMENTARY:
             if not is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.d < 1:
                 raise ValueError("elementary p-group requires d >= 1")
+            radixes = (self.p,) * self.d
         else:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.cardinality > MAX_CARDINALITY:
-            raise CapExceeded(
-                f"cardinality {self.cardinality} exceeds cap {MAX_CARDINALITY}"
-            )
-
-    @property
-    def cardinality(self) -> int:
-        if self.family == INTERVAL:
-            return self.n**self.d
-        if self.family == CYCLIC:
-            return self.n
-        if self.family == ABELIAN:
-            return math.prod(self.factors)
-        return self.p**self.d
+        cardinality = 1
+        for m in radixes:
+            cardinality *= m
+            if cardinality > MAX_CARDINALITY:
+                raise CapExceeded(f"{self} exceeds the cap |A| <= {MAX_CARDINALITY}")
+        strides = tuple(itertools.accumulate(radixes[:0:-1], operator.mul, initial=1))
+        object.__setattr__(self, "radixes", radixes)
+        object.__setattr__(self, "strides", strides[::-1])
+        object.__setattr__(self, "cardinality", cardinality)
 
     @property
     def dimension(self) -> int:
-        if self.family == CYCLIC:
-            return 1
-        if self.family == ABELIAN:
-            return len(self.factors)
-        return self.d
+        return len(self.radixes)
 
     @property
     def moduli(self) -> tuple[int, ...]:
-        """Per-coordinate modulus for group families."""
-        if self.family == CYCLIC:
-            return (self.n,)
-        if self.family == ABELIAN:
-            return self.factors
-        if self.family == ELEMENTARY:
-            return (self.p,) * self.d
-        raise ValueError("interval boxes have no modulus")
-
-    @property
-    def radixes(self) -> tuple[int, ...]:
-        """Per coordinate, the number of values it takes; canonical indices
-        read the coordinates row-major in these radixes."""
-        return (self.n,) * self.d if self.family == INTERVAL else self.moduli
+        """Per-coordinate modulus of a group family: its radixes."""
+        if not self.is_group:
+            raise ValueError("interval boxes have no modulus")
+        return self.radixes
 
     @property
     def is_group(self) -> bool:
-        return self.family in GROUP_FAMILIES
+        return self.family != INTERVAL
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Invariant-factor chain of a group family (its moduli, which form
         a divisibility chain); () for the trivial group."""
-        moduli = self.moduli  # raises for interval boxes
-        return moduli if self.cardinality > 1 else ()
+        return self.moduli if self.cardinality > 1 else ()
 
     @property
     def exponent(self) -> int:
         """Largest element order (last invariant factor); 1 for the trivial group."""
-        chain = self.invariant_factors()
-        return chain[-1] if chain else 1
+        return self.moduli[-1]
 
     def __str__(self) -> str:
         if self.family == INTERVAL:
@@ -268,8 +270,7 @@ def identity(spec: AdditiveSetSpec) -> Element:
 def is_valid_element(spec: AdditiveSetSpec, x) -> bool:
     if len(x) != spec.dimension:
         return False
-    offset = 1 if spec.family == INTERVAL else 0
-    return all(0 <= c - offset < m for c, m in zip(x, spec.radixes))
+    return all(0 <= c - spec.origin < m for c, m in zip(x, spec.radixes))
 
 
 def check_element(spec: AdditiveSetSpec, x) -> None:
@@ -295,10 +296,9 @@ def element_order(spec: AdditiveSetSpec, x: Element) -> int:
 def canonical_index(spec: AdditiveSetSpec, x: Element) -> int:
     """Row-major mixed-radix index of an element, in [0, |A|-1]."""
     check_element(spec, x)
-    offset = 1 if spec.family == INTERVAL else 0  # box coordinates start at 1
     idx = 0
     for c, m in zip(x, spec.radixes):
-        idx = idx * m + c - offset
+        idx = idx * m + c - spec.origin
     return idx
 
 
@@ -306,11 +306,10 @@ def element_at(spec: AdditiveSetSpec, i: int) -> Element:
     """Inverse of canonical_index."""
     if not 0 <= i < spec.cardinality:
         raise ValueError(f"index {i} out of range for {spec}")
-    offset = 1 if spec.family == INTERVAL else 0
     coords = []
     for m in reversed(spec.radixes):
         i, c = divmod(i, m)
-        coords.append(c + offset)
+        coords.append(c + spec.origin)
     return tuple(reversed(coords))
 
 

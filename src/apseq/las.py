@@ -45,9 +45,6 @@ PAIR_DP_CAP = 5000
 # reaches: after one random ordering, interval:1000 holds 124,000 entries and
 # interval:5000 2,495,000.
 ENGINE_CAP = 5000
-# Most orderings one Monte Carlo experiment draws (simulate exits 2 above
-# it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
-SAMPLE_CAP = 10**7
 
 
 class Ordering:
@@ -189,7 +186,7 @@ def _diff_rows(spec: AdditiveSetSpec) -> list[list[int]]:
     return rows[::-1]
 
 
-def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResult:
+def longest_ap_pairdp(ordering: Ordering) -> LasResult:
     """Longest progression subsequence via the pair dynamic program.
 
     Works for every family.  dp[j][key] is the length of the longest
@@ -202,8 +199,8 @@ def longest_ap_pairdp(ordering: Ordering, *, cap: int = PAIR_DP_CAP) -> LasResul
     """
     spec = ordering.spec
     card = spec.cardinality
-    if card > cap:
-        raise CapExceeded(f"pair DP capped at |A| <= {cap}")
+    if card > PAIR_DP_CAP:
+        raise CapExceeded(f"pair DP capped at |A| <= {PAIR_DP_CAP}")
     if card == 1:
         return _singleton_result()
 
@@ -267,9 +264,7 @@ def _decode_step(spec: AdditiveSetSpec, key: int) -> tuple:
     return tuple(c - spec.n for c in groups.element_at(keys, key))
 
 
-def progression_index_tuples(
-    spec: AdditiveSetSpec, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
-) -> tuple[tuple[int, ...], ...]:
+def progression_index_tuples(spec: AdditiveSetSpec, k: int) -> tuple[tuple[int, ...], ...]:
     """Every progression k-ordering of the set, as canonical-index tuples,
     step by step in the order of counting.iter_progressions.
 
@@ -281,7 +276,7 @@ def progression_index_tuples(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    counting.check_enum_cap(spec, enum_cap)
+    counting.check_enum_cap(spec)
     card = spec.cardinality
     out: list[tuple[int, ...]] = []
     if spec.family != INTERVAL:
@@ -295,8 +290,7 @@ def progression_index_tuples(
             else:
                 out += zip(*cols)
         return tuple(out)
-    n, d = spec.n, spec.d
-    strides = [n ** (d - 1 - i) for i in range(d)]
+    n, d, strides = spec.n, spec.d, spec.strides
     reach = (n - 1) // (k - 1)  # no coordinate of a step moves further
     origin = (0,) * d
     for v in itertools.product(range(-reach, reach + 1), repeat=d):
@@ -342,15 +336,13 @@ def count_in_order(progs, idx_seq: Sequence[int]) -> int:
     return count
 
 
-def count_k_subsequences(
-    ordering: Ordering, k: int, *, enum_cap: int = counting.DEFAULT_ENUM_CAP
-) -> int:
+def count_k_subsequences(ordering: Ordering, k: int) -> int:
     """Exact number of k-term progression subsequences of the ordering."""
     spec = ordering.spec
     card = spec.cardinality
     if k < 2 or k > card:
         raise ValueError(f"k must be in [2, {card}], got {k}")
-    progs = progression_index_tuples(spec, k, enum_cap=enum_cap)
+    progs = progression_index_tuples(spec, k)
     return count_in_order(progs, ordering.indices)
 
 
@@ -626,7 +618,6 @@ class GroupLengthEngine(_LineBands):
         self.spec = spec
         self.card = card = spec.cardinality
         self._ids = list(range(card))  # lines share these int objects
-        weights = [card // math.prod(spec.moduli[: c + 1]) for c in range(len(spec.moduli))]
         done = bytearray(card)
         todo = []
         for step_idx in range(1, card):
@@ -638,7 +629,7 @@ class GroupLengthEngine(_LineBands):
                 continue
             todo.append((m, v))
             # the generators u * v and -(u * v) of <v> need no band of their own
-            digits = list(zip(v, spec.moduli, weights))
+            digits = list(zip(v, spec.moduli, spec.strides))
             for u in _half_units(m):
                 for t in (u, m - u):
                     done[sum(t * a % mc * w for a, mc, w in digits)] = 1
@@ -713,7 +704,7 @@ class IntervalLengthEngine(_LineBands):
         self._plan([(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
 
     def _band(self, bound: int, steps: list) -> list:
-        n, d, ids = self.spec.n, self.spec.d, self._ids
+        n, d, strides, ids = self.spec.n, self.spec.d, self.spec.strides, self._ids
         lines = []
         if d == 1:
             # the paths of step v start at x < v; 3 terms need x < n - 2v
@@ -721,7 +712,6 @@ class IntervalLengthEngine(_LineBands):
                 paths = [ids[x::v] for x in range(min(v, n - 2 * v))]
                 lines += zip(map(len, paths), paths)
             return lines
-        strides = [n ** (d - 1 - i) for i in range(d)]
         for v in steps:
             delta = sum(c * s for c, s in zip(v, strides))
             lines += [

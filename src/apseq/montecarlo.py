@@ -23,6 +23,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # estimate_Nk_mean keeps every progression k-ordering as an index tuple, in
 # each pool worker.  10^6 tuples (about 140 MB) admit cyclic:1000 at k = 3.
 NK_TUPLE_BUDGET = 10**6
+# Most orderings one Monte Carlo experiment draws (simulate exits 2 above
+# it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
+SAMPLE_CAP = 10**7
 
 
 def _fmix64(z: int) -> int:
@@ -106,8 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.samples > las.SAMPLE_CAP:
-            raise CapExceeded(f"samples capped at {las.SAMPLE_CAP}")
+        if self.samples > SAMPLE_CAP:
+            raise CapExceeded(f"samples capped at {SAMPLE_CAP}")
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ def test_criterion_01_extended_rows_10_to_12():
         want_i = _golden_rows("interval")[n][:n]
         got_i = enumeration.distribution(interval_box(n), parallel=4).row()
         want_c = _golden_rows("cyclic")[n][:n]
-        got_c = enumeration.distribution(cyclic(n), symmetry_reduction=True, budget=12).row()
+        got_c = enumeration.distribution(cyclic(n), symmetry_reduction=True).row()
         ok = ok and got_i == want_i and got_c == want_c
     assert _report(1, "extended rows n = 10..12 match golden tables", ok)
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from apseq import cli, las
+from apseq import cli
 from apseq.errors import InternalInvariantError
 
 
@@ -223,6 +223,12 @@ def test_cap_exit_code():
     assert "cap exceeded" in proc.stderr
 
 
+def test_oversized_set_exit_code():
+    proc = run_cli("predict", "--set", "interval:10,1000000")
+    assert proc.returncode == 2
+    assert "cap exceeded" in proc.stderr and "interval:10,1000000" in proc.stderr
+
+
 def test_brute_count_above_pair_budget_exit_code(capsys):
     code, out, err = run_main(capsys, "count", "--set", "interval:50,3", "--k", "3",
                               "--method", "brute")
@@ -355,7 +361,7 @@ def test_simulate_above_sample_cap_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
     code, out, err = run_main(capsys, "simulate", "--set", "cyclic:10", "--samples",
-                              str(las.SAMPLE_CAP + 1), "--seed", "1")
+                              str(cli.montecarlo.SAMPLE_CAP + 1), "--seed", "1")
     assert code == 2
     assert out == ""
     assert "cap exceeded" in err

@@ -74,6 +74,11 @@ def test_budget_cap():
         distribution(interval_box(11))
     with pytest.raises(CapExceeded):
         distribution(cyclic(13), parallel=2)
+    # one worker runs no pool, so the serial budget holds
+    with pytest.raises(CapExceeded):
+        distribution(interval_box(11), parallel=1)
+    with pytest.raises(CapExceeded):
+        distribution(cyclic(13), symmetry_reduction=True)
 
 
 def test_symmetry_reduction_matches_unreduced():

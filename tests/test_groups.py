@@ -1,6 +1,9 @@
 import itertools
 import math
+import pickle
 import random
+import re
+import time
 
 import pytest
 
@@ -175,6 +178,33 @@ def test_parse_set_spec_rejects_garbage():
 def test_cardinality_cap():
     with pytest.raises(CapExceeded):
         interval_box(10**4, 2)
+    # refused before |A| is computed in full, naming the spec and not |A|
+    for text in ["interval:10,100000000", "elementary:3^100000000", "interval:10,1000000",
+                 "interval:2,5000", "interval:1,100000000", "interval:1,25",
+                 f"cyclic:{groups.MAX_CARDINALITY + 1}"]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=re.escape(text)):
+            parse_set_spec(text)
+        assert time.perf_counter() - start < 1.0
+    assert interval_box(1, groups.MAX_DIMENSION).cardinality == 1
+    assert cyclic(groups.MAX_CARDINALITY).cardinality == groups.MAX_CARDINALITY
+
+
+@pytest.mark.parametrize("spec", [
+    cyclic(1), cyclic(12), abelian(2, 4, 8), elementary(3, 3),
+    interval_box(5), interval_box(4, 2), interval_box(3, 3),
+], ids=str)
+def test_stored_shape(spec):
+    radixes = spec.radixes
+    assert spec.strides == tuple(math.prod(radixes[i + 1:]) for i in range(len(radixes)))
+    assert spec.cardinality == math.prod(radixes)
+    assert spec.dimension == len(radixes)
+    if spec.is_group:
+        assert spec.exponent == max(element_order(spec, x) for x in elements(spec))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    assert (copy.radixes, copy.strides, copy.cardinality) == (
+        radixes, spec.strides, spec.cardinality)
 
 
 def test_abelian_requires_chain():

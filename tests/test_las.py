@@ -10,6 +10,7 @@ from apseq.errors import CapExceeded
 from apseq.groups import abelian, cyclic, elementary, interval_box, parse_set_spec
 from apseq.las import (
     ENGINE_CAP,
+    PAIR_DP_CAP,
     Ordering,
     count_k_subsequences,
     length_engine,
@@ -113,8 +114,9 @@ def test_pairdp_matches_orbitwalk_on_wraparound():
 
 
 def test_pairdp_cap():
+    card = PAIR_DP_CAP + 1
     with pytest.raises(CapExceeded):
-        longest_ap_pairdp(_ordering(cyclic(10), range(10)), cap=5)
+        longest_ap_pairdp(_ordering(cyclic(card), range(card)))
 
 
 def test_witness_reverifies():
@@ -382,8 +384,9 @@ def test_count_k_subsequences_domain():
         count_k_subsequences(o, 1)
     with pytest.raises(ValueError):
         count_k_subsequences(o, 6)
+    # 3163^2 = 10,004,569 candidate pairs, one set past the enumeration cap
     with pytest.raises(CapExceeded):
-        count_k_subsequences(o, 3, enum_cap=4)
+        count_k_subsequences(_ordering(cyclic(3163), range(3163)), 3)
 
 
 def test_consistency_with_length():
