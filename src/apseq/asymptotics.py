@@ -45,8 +45,9 @@ def log_count(spec: AdditiveSetSpec, k: int) -> float:
 
 
 def _k_max(spec: AdditiveSetSpec) -> int:
-    """Largest k with a positive count."""
-    return spec.n if spec.family == INTERVAL else spec.exponent
+    """Largest k with a positive count: the last radix, which is n for a box
+    and the exponent of a group."""
+    return spec.radixes[-1]
 
 
 def _check_mode(spec: AdditiveSetSpec, mode: str) -> None:

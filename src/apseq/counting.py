@@ -22,13 +22,7 @@ from typing import Iterator, Optional
 
 from . import groups
 from .errors import CapExceeded
-from .groups import (
-    CYCLIC,
-    INTERVAL,
-    AdditiveSetSpec,
-    divisors,
-    totient,
-)
+from .groups import INTERVAL, AdditiveSetSpec, divisors
 
 CLOSED_FORM = "ClosedForm"
 BRUTE_FORCE = "BruteForce"
@@ -132,48 +126,48 @@ def count_lattice(n: int, k: int, d: int) -> CountResult:
 
 
 def count_cyclic(n: int, k: int) -> CountResult:
-    """Exact count for Z/nZ: n for k = 1, 0 for k > n, and otherwise
-    n * (n - sum of totient(j) over divisors j of n with j < k)."""
+    """Exact count for Z/nZ, read from the order tally of the moduli (n,) as
+    for any group: n for k = 1, and 0 for k > n, as every order divides n.
+    Builds no set spec, so n may exceed the set cap."""
     if n < 1:
         raise ValueError("count_cyclic requires n >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return _exact(n)
-    if k > n:
-        return _exact(0)
-    short = sum(totient(j) for j in divisors(n) if j < k)
-    return _exact(n * (n - short))
+    return _count_group((n,), k)
 
 
 @functools.lru_cache(maxsize=128)
-def _order_tally(spec: AdditiveSetSpec) -> dict[int, int]:
-    """Number of elements of each order t, for every divisor t of the exponent:
-    prod(gcd(t, m_i)) have order dividing t, minus those of order s | t, s < t."""
+def _order_tally(moduli: tuple[int, ...]) -> dict[int, int]:
+    """Number of elements of each order t in the product of Z/m over the
+    moduli, for every divisor t of the last modulus (the exponent of a
+    chain): prod(gcd(t, m)) have order dividing t, minus those of order
+    s | t, s < t."""
     tally: dict[int, int] = {}
-    for t in divisors(spec.exponent):
-        dividing = math.prod(math.gcd(t, m) for m in spec.moduli)
+    for t in divisors(moduli[-1]):
+        dividing = math.prod(math.gcd(t, m) for m in moduli)
         tally[t] = dividing - sum(c for s, c in tally.items() if t % s == 0)
     return tally
 
 
-def _count_orders_below(spec: AdditiveSetSpec, k: int) -> int:
-    """Number of elements of order < k."""
-    return sum(c for t, c in _order_tally(spec).items() if t < k)
+def _count_group(moduli: tuple[int, ...], k: int) -> CountResult:
+    """|Z| * #{r : order(r) >= k} for the group of the moduli, and |Z| (the
+    singletons) for k = 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = math.prod(moduli)
+    if k == 1:
+        return _exact(n)
+    return _exact(n * (n - sum(c for t, c in _order_tally(moduli).items() if t < k)))
 
 
 def count_abelian_exact(spec: AdditiveSetSpec, k: int) -> CountResult:
-    """Exact count for a finite abelian group: |Z| * #{r : order(r) >= k}.
+    """Exact count for a finite abelian group: |Z| * #{r : order(r) >= k},
+    and |Z| for k = 1.
 
     A progression k-ordering in a group is injective precisely when its step
     has order at least k, and every base point works.
     """
     if not spec.is_group:
         raise ValueError("count_abelian_exact requires a group family")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    n = spec.cardinality
-    return _exact(n * (n - _count_orders_below(spec, k)))
+    return _count_group(spec.moduli, k)
 
 
 def bounds_abelian(spec: AdditiveSetSpec, k: int) -> CountResult:
@@ -204,23 +198,24 @@ def bounds_abelian(spec: AdditiveSetSpec, k: int) -> CountResult:
 
 
 def count_for_set(spec: AdditiveSetSpec, k: int) -> CountResult:
-    """Closed-form count dispatched on the family."""
+    """Closed-form count, one route per family: count_lattice for a box
+    (count_interval when d = 1), count_abelian_exact for every group."""
     if spec.family == INTERVAL:
-        if spec.d == 1:
-            return count_interval(spec.n, k)
         return count_lattice(spec.n, k, spec.d)
-    if spec.family == CYCLIC:
-        return count_cyclic(spec.n, k)
     return count_abelian_exact(spec, k)
 
 
+def _step_spans(spec: AdditiveSetSpec) -> list[range]:
+    """The candidate step values of each coordinate: [-(n-1), n-1] in a box,
+    every residue in a group."""
+    box = spec.family == INTERVAL
+    return [range(1 - m, m) if box else range(m) for m in spec.radixes]
+
+
 def _candidate_pairs(spec: AdditiveSetSpec) -> int:
-    """Number of candidate (base, step) pairs: every base with every lattice
-    step in [-(n-1), n-1]^d of a box, or with every element of a group."""
-    card = spec.cardinality
-    if spec.family == INTERVAL:
-        return card * (2 * spec.n - 1) ** spec.d
-    return card * card
+    """Number of candidate (base, step) pairs: every base with every
+    candidate step, the zero step included."""
+    return spec.cardinality * math.prod(map(len, _step_spans(spec)))
 
 
 def _check_brute_caps(spec: AdditiveSetSpec) -> None:
@@ -271,14 +266,9 @@ def _succ_table(spec: AdditiveSetSpec, r: tuple) -> list[int]:
 
 def _steps(spec: AdditiveSetSpec):
     """Every nonzero candidate step, as a coordinate tuple in lexicographic
-    order: the lattice steps of a box with coordinates in [-(n-1), n-1],
-    the group's elements in canonical order."""
-    if spec.family == INTERVAL:
-        spans = [range(1 - spec.n, spec.n)] * spec.d
-    else:
-        spans = map(range, spec.moduli)
+    order (a group's elements in canonical order)."""
     zero = groups.identity(spec)
-    return (r for r in itertools.product(*spans) if r != zero)
+    return (r for r in itertools.product(*_step_spans(spec)) if r != zero)
 
 
 def _profile_from_reach(reach: list[int], k_max: int, card: int) -> list[int]:
@@ -360,15 +350,18 @@ def cycle_profile(spec: AdditiveSetSpec, k_max: int) -> list[int]:
 def brute_force_count(spec: AdditiveSetSpec, k: int) -> CountResult:
     """Ground-truth count of progression k-orderings by exhaustive enumeration.
 
-    k = 1 counts the singletons (one per member of the set).
+    k = 1 counts the singletons (one per member of the set).  No walk of
+    distinct terms has more than |A| terms, so k > |A| gives 0 unwalked.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
+    card = spec.cardinality
+    if k == 1 or k > card:
         _check_brute_caps(spec)
-        return CountResult(spec.cardinality, spec.cardinality, BRUTE_FORCE, spec.cardinality)
-    counts = brute_force_profile(spec, k)
-    return CountResult(counts[k], counts[k], BRUTE_FORCE, counts[k])
+        value = card if k == 1 else 0
+    else:
+        value = brute_force_profile(spec, k)[k]
+    return CountResult(value, value, BRUTE_FORCE, value)
 
 
 def check_enum_cap(spec: AdditiveSetSpec) -> None:

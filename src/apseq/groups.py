@@ -36,21 +36,6 @@ ELEMENTARY = "elementary"
 Element = tuple
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization by trial division, as {prime: exponent}."""
     if m < 1:
@@ -127,7 +112,8 @@ class AdditiveSetSpec:
     weight of each coordinate), cardinality (|A|) and origin (the least
     coordinate: 1 in a box, 0 in a group).  A set with more than
     MAX_DIMENSION coordinates or MAX_CARDINALITY elements raises
-    CapExceeded before its size is computed in full.
+    CapExceeded before its size is computed in full, and one with a
+    number above MAX_CARDINALITY before any other check.
     """
 
     family: str
@@ -143,6 +129,10 @@ class AdditiveSetSpec:
     def __post_init__(self):
         if self.d > MAX_DIMENSION:  # before (n,) * d is built
             raise CapExceeded(f"{self} exceeds the cap of {MAX_DIMENSION} coordinates")
+        # a set with a side, prime or factor above the cap has more elements;
+        # refused before any check that would factor or multiply it
+        if max(self.n, self.p, *self.factors) > MAX_CARDINALITY:
+            raise CapExceeded(f"{self} exceeds the cap |A| <= {MAX_CARDINALITY}")
         if self.family == INTERVAL:
             if self.n < 1 or self.d < 1:
                 raise ValueError("interval box requires n >= 1 and d >= 1")
@@ -166,7 +156,7 @@ class AdditiveSetSpec:
                     )
             radixes = self.factors
         elif self.family == ELEMENTARY:
-            if not is_prime(self.p):
+            if self.p < 2 or factorize(self.p) != {self.p: 1}:
                 raise ValueError(f"{self.p} is not prime")
             if self.d < 1:
                 raise ValueError("elementary p-group requires d >= 1")
@@ -209,13 +199,25 @@ class AdditiveSetSpec:
         return self.moduli[-1]
 
     def __str__(self) -> str:
+        n, d, p = _shown(self.n), _shown(self.d), _shown(self.p)
         if self.family == INTERVAL:
-            return f"interval:{self.n}" if self.d == 1 else f"interval:{self.n},{self.d}"
+            return f"interval:{n}" if self.d == 1 else f"interval:{n},{d}"
         if self.family == CYCLIC:
-            return f"cyclic:{self.n}"
+            return f"cyclic:{n}"
         if self.family == ABELIAN:
-            return "abelian:" + "x".join(str(f) for f in self.factors)
-        return f"elementary:{self.p}^{self.d}"
+            return "abelian:" + "x".join(map(_shown, self.factors))
+        return f"elementary:{p}^{d}"
+
+
+def _shown(x: int) -> str:
+    """x in decimal, or by its digit count past 20 digits: str() refuses an
+    int of more than 4,300 digits, and a cap message should stay short."""
+    if abs(x) < 10**20:
+        return str(x)
+    digits = int(math.log10(abs(x)))  # the count, or one under it
+    while 10**digits <= abs(x):
+        digits += 1
+    return f"{'-' if x < 0 else ''}<{digits} digits>"
 
 
 def interval_box(n: int, d: int = 1) -> AdditiveSetSpec:
@@ -244,22 +246,33 @@ def parse_set_spec(text: str) -> AdditiveSetSpec:
         raise ValueError(f"malformed set spec {text!r}")
     try:
         if head == INTERVAL:
-            parts = [int(s) for s in tail.split(",")]
+            parts = [_number(s) for s in tail.split(",")]
             if len(parts) == 1:
                 return interval_box(parts[0])
             if len(parts) == 2:
                 return interval_box(parts[0], parts[1])
             raise ValueError
         if head == CYCLIC:
-            return cyclic(int(tail))
+            return cyclic(_number(tail))
         if head == ABELIAN:
-            return abelian(*[int(s) for s in tail.split("x")])
+            return abelian(*[_number(s) for s in tail.split("x")])
         if head == ELEMENTARY:
             p_str, sep2, d_str = tail.partition("^")
-            return elementary(int(p_str), int(d_str) if sep2 else 1)
+            return elementary(_number(p_str), _number(d_str) if sep2 else 1)
     except ValueError as exc:
         raise ValueError(f"malformed set spec {text!r}: {exc}") from None
     raise ValueError(f"unknown set family in {text!r}")
+
+
+def _number(field: str) -> int:
+    """int(field), but a run of more than 20 digits reads as 10**(digits - 1):
+    a number of as many digits, which the spec shows by that count and its
+    size check refuses, where int() would call a run past 4,300 digits
+    malformed."""
+    digits = field.strip().lstrip("0")
+    if len(digits) > 20 and digits.isdecimal():
+        return 10 ** (len(digits) - 1)
+    return int(field)
 
 
 def identity(spec: AdditiveSetSpec) -> Element:

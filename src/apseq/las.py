@@ -280,7 +280,7 @@ def progression_index_tuples(spec: AdditiveSetSpec, k: int) -> tuple[tuple[int, 
     card = spec.cardinality
     out: list[tuple[int, ...]] = []
     if spec.family != INTERVAL:
-        for r in itertools.product(*map(range, spec.moduli)):
+        for r in counting._steps(spec):
             succ = counting._succ_table(spec, r)
             cols = [range(card)]
             for _ in range(k - 1):
@@ -344,11 +344,6 @@ def count_k_subsequences(ordering: Ordering, k: int) -> int:
         raise ValueError(f"k must be in [2, {card}], got {k}")
     progs = progression_index_tuples(spec, k)
     return count_in_order(progs, ordering.indices)
-
-
-def _check_engine_cap(spec: AdditiveSetSpec) -> None:
-    if spec.cardinality > ENGINE_CAP:
-        raise CapExceeded(f"length engines capped at |A| <= {ENGINE_CAP}")
 
 
 def _longest_run(lines, pos: Sequence[int], best: int) -> int:
@@ -457,18 +452,25 @@ class _LineBands:
     term count, until no unbuilt line can be longer.  So a scan that has
     found a run of best terms builds the next band only while _reach >
     best, and a witness of best terms also while _reach == best.
+
+    The constructor is the set-up both engines share: each engine lists its
+    (bound, step or subgroup) pairs as todo, and its _band(bound, items)
+    returns the (m, line) pairs of the items of one bound.  Lines are
+    slices of, or picks from, one tuple of canonical indices, so they share
+    its int objects, and as tuples the cyclic garbage collector stops
+    tracking them; _pos is the position buffer of length_of_indices.
     """
 
-    def _plan(self, todo: list) -> None:
-        """Set up the bands from (bound, step or subgroup) pairs; the
-        engine's _band(bound, items) returns the (m, line) pairs of the
-        items of one bound."""
+    def __init__(self, spec: AdditiveSetSpec, todo: list):
+        self.spec = spec
+        self.card = card = spec.cardinality
+        self._ids = tuple(range(card))
+        self._pos = [0] * card
         todo.sort(key=itemgetter(0))
         self._todo = todo
         self._held: dict[int, list] = {}
         self._built: list = []
         self._reach = todo[-1][0] if todo else 0
-        self._pos = [0] * self.card
 
     def _grow(self):
         """Build the next band and return an iterator over the lines it
@@ -612,12 +614,7 @@ class GroupLengthEngine(_LineBands):
     """
 
     def __init__(self, spec: AdditiveSetSpec):
-        if not spec.is_group:
-            raise ValueError("length engine requires a group family")
-        _check_engine_cap(spec)
-        self.spec = spec
-        self.card = card = spec.cardinality
-        self._ids = list(range(card))  # lines share these int objects
+        card = spec.cardinality
         done = bytearray(card)
         todo = []
         for step_idx in range(1, card):
@@ -633,7 +630,7 @@ class GroupLengthEngine(_LineBands):
             for u in _half_units(m):
                 for t in (u, m - u):
                     done[sum(t * a % mc * w for a, mc, w in digits)] = 1
-        self._plan(todo)
+        super().__init__(spec, todo)
 
     def _band(self, m: int, subgroups: list) -> list:
         ids = self._ids
@@ -686,14 +683,6 @@ class IntervalLengthEngine(_LineBands):
     """
 
     def __init__(self, spec: AdditiveSetSpec):
-        if spec.family != INTERVAL:
-            raise ValueError("interval engine requires the interval family")
-        _check_engine_cap(spec)
-        self.spec = spec
-        self.card = card = spec.cardinality
-        # paths share these int objects; as tuple slices they are tuples,
-        # which the cyclic garbage collector stops tracking
-        self._ids = tuple(range(card))
         n, d = spec.n, spec.d
         half = (n - 1) // 2
         if d == 1:
@@ -701,7 +690,7 @@ class IntervalLengthEngine(_LineBands):
         else:
             origin = (0,) * d
             steps = [v for v in itertools.product(range(-half, half + 1), repeat=d) if v > origin]
-        self._plan([(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
+        super().__init__(spec, [(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
 
     def _band(self, bound: int, steps: list) -> list:
         n, d, strides, ids = self.spec.n, self.spec.d, self.spec.strides, self._ids
@@ -769,6 +758,8 @@ def length_engine(spec: AdditiveSetSpec):
     the ordering listing the canonical indices idx_seq, and
     engine.witness(idx_seq) its LasResult.  Raises CapExceeded
     above ENGINE_CAP elements, before any table is built."""
+    if spec.cardinality > ENGINE_CAP:
+        raise CapExceeded(f"length engines capped at |A| <= {ENGINE_CAP}")
     if spec.family == INTERVAL:
         return IntervalLengthEngine(spec)
     return GroupLengthEngine(spec)

@@ -21,8 +21,9 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # estimate_Nk_mean keeps every progression k-ordering as an index tuple, in
-# each pool worker.  10^6 tuples (about 140 MB) admit cyclic:1000 at k = 3.
-NK_TUPLE_BUDGET = 10**6
+# each pool worker: count * k entries.  4 * 10^6 entries admit cyclic:1000 at
+# k = 3 (2,994,000 entries, about 140 MB).
+NK_ENTRY_BUDGET = 4 * 10**6
 # Most orderings one Monte Carlo experiment draws (simulate exits 2 above
 # it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
 SAMPLE_CAP = 10**7
@@ -157,10 +158,10 @@ def estimate_Nk_mean(
         raise ValueError("config.k is required")
     spec, m, k = config.spec, config.samples, config.k
     count = counting.count_for_set(spec, k).exact
-    if count > NK_TUPLE_BUDGET:
+    if count * k > NK_ENTRY_BUDGET:
         raise CapExceeded(
-            f"{spec} has {count} progression {k}-orderings; "
-            f"N_k sampling is capped at {NK_TUPLE_BUDGET}"
+            f"{spec} has {count} progression {k}-orderings ({count * k} terms); "
+            f"N_k sampling is capped at {NK_ENTRY_BUDGET} stored terms"
         )
     values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]
 
@@ -168,7 +169,7 @@ def estimate_Nk_mean(
     total = sum(values)
     total_sq = sum(v * v for v in values)
     mean = total / m
-    expected = count / math.factorial(k)
+    expected = count / math.factorial(k) if count else 0.0
     if m > 1:
         var = (total_sq - total * total / m) / (m - 1)
         stderr = math.sqrt(max(var, 0.0) / m)

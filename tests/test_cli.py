@@ -44,6 +44,13 @@ def test_count_methods_agree(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["exact"] == 120
+    # no walk of distinct terms is longer than |A|: 0 at once, as in closed form
+    for method in ("brute", "closed"):
+        start = time.perf_counter()
+        code, out, _ = run_main(capsys, "count", "--set", "cyclic:5", "--k", "1000000000",
+                                "--method", method)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "0\n")
     code, out, _ = run_main(
         capsys, "count", "--set", "abelian:4x8", "--k", "3", "--method", "bounds", "--json"
     )
@@ -227,6 +234,10 @@ def test_oversized_set_exit_code():
     proc = run_cli("predict", "--set", "interval:10,1000000")
     assert proc.returncode == 2
     assert "cap exceeded" in proc.stderr and "interval:10,1000000" in proc.stderr
+    # past int()'s 4,300-digit limit the number is named by its digit count
+    proc = run_cli("predict", "--set", "cyclic:" + "9" * 5000)
+    assert proc.returncode == 2
+    assert "cyclic:<5000 digits>" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_brute_count_above_pair_budget_exit_code(capsys):
@@ -447,18 +458,31 @@ def test_enumerate_runs_only_its_modules():
     assert not (ran["montecarlo"] or ran["nonabelian"])
 
 
-def test_simulate_nk_above_tuple_budget_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("spec, k", [("cyclic:3000", "3"), ("cyclic:1000", "1000")])
+def test_simulate_nk_above_tuple_budget_exit_code(spec, k, capsys, monkeypatch):
+    # cyclic:1000 at k = 1000 has only 400,000 tuples, but 4 * 10^8 stored terms
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started above the tuple budget")
 
     monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
     start = time.perf_counter()
-    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:3000", "--k", "3",
+    code, out, err = run_main(capsys, "simulate", "--set", spec, "--k", k,
                               "--samples", "2", "--seed", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "cap exceeded" in err and str(cli.montecarlo.NK_TUPLE_BUDGET) in err
+    assert "cap exceeded" in err and str(cli.montecarlo.NK_ENTRY_BUDGET) in err
+
+
+def test_simulate_nk_zero_count_skips_factorial(capsys):
+    # cyclic:10 has no 3,000,000-term progression; k! alone would take minutes
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, "simulate", "--set", "cyclic:10", "--k", "3000000",
+                            "--samples", "1", "--seed", "0", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["expected"], result["mean"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])

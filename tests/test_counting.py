@@ -107,9 +107,16 @@ def test_count_cyclic_examples():
 def test_count_abelian_exact_examples():
     assert count_abelian_exact(elementary(3, 2), 3).exact == 72
     assert count_abelian_exact(abelian(2, 4), 3).exact == 32
-    for n in range(2, 51):
-        for k in range(2, n + 1):
-            assert count_abelian_exact(cyclic(n), k).exact == count_cyclic(n, k).exact
+    # count_cyclic reads the same order tally, so both are checked against
+    # the divisor-totient formula n * (n - sum of totient(j), j | n, j < k)
+    for n in range(2, 201):
+        divs = [j for j in range(1, n + 1) if n % j == 0]
+        for k in range(2, n + 3):
+            want = n * (n - sum(totient(j) for j in divs if j < k))
+            assert count_abelian_exact(cyclic(n), k).exact == want, (n, k)
+            assert count_cyclic(n, k).exact == want, (n, k)
+    # above the set cap: only the orders 1 and 2 lie below 3
+    assert count_cyclic(10**12, 3).exact == 10**12 * (10**12 - 2)
     with pytest.raises(ValueError):
         count_abelian_exact(interval_box(5), 2)
 
@@ -122,7 +129,7 @@ def test_count_abelian_divisor_route_matches_iteration():
             direct = sum(
                 1 for x in groups.elements(spec) if groups.element_order(spec, x) >= k
             )
-            via_divisors = n - counting._count_orders_below(spec, k)
+            via_divisors = count_abelian_exact(spec, k).exact // n
             assert direct == via_divisors, (spec, k)
 
 

@@ -190,6 +190,24 @@ def test_cardinality_cap():
     assert cyclic(groups.MAX_CARDINALITY).cardinality == groups.MAX_CARDINALITY
 
 
+@pytest.mark.parametrize("make", [
+    lambda: parse_set_spec("elementary:1000000000000000003"),
+    lambda: parse_set_spec("cyclic:" + "9" * 5000),
+    lambda: parse_set_spec("cyclic:" + "9" * 4000),
+    lambda: parse_set_spec("abelian:2x" + "4" * 30),
+    lambda: groups.cyclic(10**5000),
+], ids=["elementary-19-digits", "cyclic-5000-digits", "cyclic-4000-digits",
+        "abelian-30-digits", "cyclic-10^5000"])
+def test_numbers_above_cap_fail_fast(make):
+    # refused before the primality check or int()'s digit limit, with a short
+    # message that shows a long number by its digit count
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        make()
+    assert time.perf_counter() - start < 1.0
+    assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("spec", [
     cyclic(1), cyclic(12), abelian(2, 4, 8), elementary(3, 3),
     interval_box(5), interval_box(4, 2), interval_box(3, 3),
