@@ -1,6 +1,12 @@
 """Exhaustive enumeration of orderings: exact distributions of the longest
 embedded progression length for small sets, and the parity-block structure
 of orderings of Z/2^m Z with no 3-term progression subsequence.
+
+Distributions are tallied in blocks of orderings, not one ordering at a
+time.  A block holds each element's position in up to 5,040 orderings as
+one int with a byte lane per ordering, and bitwise operations along the
+lines of the set's length engine find the longest monotone run, and so L,
+in every lane at once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, totient
 
 SERIAL_BUDGET = 10
 PARALLEL_BUDGET = 12
+# A block is the orderings that fix the positions of all but _BLOCK_FREE
+# elements: at most 7! = 5,040 of them, one byte lane each.
+_BLOCK_FREE = 7
 
 
 @dataclass(frozen=True)
@@ -38,58 +47,139 @@ class DistributionTable:
         return list(self.counts[1:])
 
 
-def _tally_serial(spec: AdditiveSetSpec, perms) -> list[int]:
-    length_of = las.length_engine(spec).length_of_indices
-    counts = [0] * (spec.cardinality + 1)
-    for perm in perms:
-        counts[length_of(perm)] += 1
+@functools.lru_cache(maxsize=None)
+def _lane_masks(lanes: int) -> tuple[int, int]:
+    """(0x01, 0x80) repeated in each of lanes byte lanes, as ints."""
+    return int.from_bytes(b"\x01" * lanes, "little"), int.from_bytes(b"\x80" * lanes, "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_columns(r: int) -> tuple[bytes, ...]:
+    """Byte j of permutation i of range(r), over the r! permutations in
+    order, as column j."""
+    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(r))))
+    return tuple(flat[j::r] for j in range(r))
+
+
+def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
+    """Add to counts the longest progression length of lanes orderings of a
+    set of two or more elements at once.
+
+    Byte i of cols[x] is the position of element x in ordering i; positions
+    are below 128, so each lane has a guard bit G = 0x80.  Along a line
+    a, b of an engine, ((b | G) - a) & G sets G in the lanes where b comes
+    after a, and no lane borrows from the next.  ANDing k - 1 consecutive
+    comparisons from term t marks the rising runs of k terms from t, the
+    complements the falling ones; runs start below m, so a group's doubled
+    walk counts each cyclic window once.  reached[k] gathers the lanes with
+    a run of k terms, and the difference of consecutive lane counts is the
+    number of orderings whose longest run has exactly k terms.
+    """
+    guard = _lane_masks(lanes)[1]
+    reached = [0, 0, guard]  # every ordering has a 2-term progression
+    for m, line in lines:
+        terms = [cols[x] for x in line]
+        rising = [((b | guard) - a) & guard for a, b in zip(terms, terms[1:])]
+        for steps in (rising, [c ^ guard for c in rising]):
+            runs = steps[:m]
+            k = 2
+            while True:
+                k += 1
+                runs = [r & c for r, c in zip(runs, steps[k - 2 :])]
+                hit = 0
+                for r in runs:
+                    hit |= r
+                if not hit:
+                    break
+                if k == len(reached):
+                    reached.append(hit)
+                else:
+                    reached[k] |= hit
+    lanes_at = [r.bit_count() for r in reached] + [0]
+    for k in range(2, len(reached)):
+        counts[k] += lanes_at[k] - lanes_at[k + 1]
+
+
+def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
+    """Add to counts the L of every ordering that puts each element of
+    placed, (element, position) pairs, at that position, one block per
+    placement of all but _BLOCK_FREE of the other elements.
+
+    Inverting an ordering is a bijection, so the block's free elements take
+    their open positions in every order: column j of _rank_columns, each
+    rank translated to the position of that rank.
+    """
+    fixed = dict(placed)
+    free = [x for x in range(card) if x not in fixed]
+    taken = set(fixed.values())
+    open_positions = [p for p in range(card) if p not in taken]
+    extra = max(0, len(free) - _BLOCK_FREE)
+    head, tail = free[:extra], free[extra:]
+    ranks = _rank_columns(len(tail))
+    lanes = math.factorial(len(tail))
+    ones = _lane_masks(lanes)[0]
+    cols = [0] * card
+    for x, p in fixed.items():
+        cols[x] = p * ones
+    for head_positions in itertools.permutations(open_positions, extra):
+        for x, p in zip(head, head_positions):
+            cols[x] = p * ones
+        rest = bytes(p for p in open_positions if p not in head_positions)
+        table = rest.ljust(256, b"\0")
+        for x, col in zip(tail, ranks):
+            cols[x] = int.from_bytes(col.translate(table), "little")
+        _tally_block(lines, cols, lanes, counts)
+
+
+def _tally_orderings(lines, card: int, seqs: list, counts: list[int]) -> None:
+    """Add to counts the L of each ordering of seqs (canonical indices)."""
+    if not seqs:
+        return
+    flat = bytearray(card * len(seqs))
+    for base, seq in zip(range(0, len(flat), card), seqs):
+        for where, x in enumerate(seq):
+            flat[base + x] = where
+    cols = [int.from_bytes(flat[x::card], "little") for x in range(card)]
+    _tally_block(lines, cols, len(seqs), counts)
+
+
+def _placed_worker(args) -> list[int]:
+    lines, card, placed = args
+    counts = [0] * (card + 1)
+    _tally_placed(lines, card, placed, counts)
     return counts
 
 
-def _perms_with_prefix(card: int, prefix: tuple[int, ...]):
-    rest = [i for i in range(card) if i not in prefix]
-    for tail in itertools.permutations(rest):
-        yield prefix + tail
-
-
-def _prefix_worker(args) -> list[int]:
-    spec, prefix = args
-    return _tally_serial(spec, _perms_with_prefix(spec.cardinality, prefix))
-
-
-def _tally_interval_reduced(spec: AdditiveSetSpec) -> list[int]:
+def _tally_interval_reduced(lines, n: int) -> list[int]:
     # Reflection v -> n-1-v and reversal generate a group of order 4, which
     # acts on the end pairs (first a, last b) as (a, b), (b, a),
     # (n-1-a, n-1-b), (n-1-b, n-1-a).  Each orbit meets the end pairs with
     # a < b and a + b <= n - 1 in one ordering (weight 4) when a + b < n - 1;
     # when a + b = n - 1 the pair is fixed by reflection after reversal, and
     # the orbit holds two such orderings or one that map fixes (weight 2).
-    n = spec.cardinality
-    length_of = las.length_engine(spec).length_of_indices
     four, two = [0] * (n + 1), [0] * (n + 1)
     for a in range(n):
         for b in range(a + 1, n - a):
             counts = four if a + b < n - 1 else two
-            rest = [v for v in range(n) if v != a and v != b]
-            for mid in itertools.permutations(rest):
-                counts[length_of((a, *mid, b))] += 1
+            _tally_placed(lines, n, ((a, 0), (b, n - 1)), counts)
     return [4 * c4 + 2 * c2 for c4, c2 in zip(four, two)]
 
 
-def _tally_cyclic_reduced(spec: AdditiveSetSpec) -> list[int]:
+def _tally_cyclic_reduced(lines, n: int) -> list[int]:
     # The maps x -> u*x + t (u a unit), with or without reversal, form a
     # group of order 2n*phi(n); only a reversing map can fix an ordering.
     # Translation puts 0 first, and a unit then takes the last term l to
     # e = gcd(l, n).  What still acts on the orderings s from 0 to e is
     # K = S_e x {1, R'}, where S_e holds the units fixing e and
     # R's = e - reversed(s).  One lexicographic minimum per K-orbit is
-    # scanned; its orbit has 2n*phi(n) orderings, or half as many when a
+    # tallied; its orbit has 2n*phi(n) orderings, or half as many when a
     # reversing map fixes it.  The second terms of its images u*s and u*R's
-    # decide most end pairs (a, b) for every middle at once.
-    n = spec.cardinality
+    # decide most end pairs (a, b) for every middle at once: those blocks
+    # go to the kernel whole, and only tied pairs test each middle.
     if n <= 3:
-        return _tally_serial(spec, itertools.permutations(range(n)))
-    length_of = las.length_engine(spec).length_of_indices
+        counts = [0] * (n + 1)
+        _tally_placed(lines, n, (), counts)
+        return counts
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     free, fixed = [0] * (n + 1), [0] * (n + 1)
     for e in groups.divisors(n)[:-1]:
@@ -105,17 +195,17 @@ def _tally_cyclic_reduced(spec: AdditiveSetSpec) -> list[int]:
                 low = min(second for second, _, _ in images)
                 if a > low:
                     continue
-                rest = [v for v in inner if v != a and v != b]
                 if a < low:
-                    for mid in itertools.permutations(rest):
-                        free[length_of((0, a, *mid, b, e))] += 1
+                    placed = ((0, 0), (a, 1), (b, n - 2), (e, n - 1))
+                    _tally_placed(lines, n, placed, free)
                     continue
                 tied = [
                     (rev, [(e - u * x) % n if rev else u * x % n for x in range(n)])
                     for second, rev, u in images
                     if second == a
                 ]
-                for mid in itertools.permutations(rest):
+                kept: tuple[list, list] = ([], [])  # (not stabilised, stabilised)
+                for mid in itertools.permutations([v for v in inner if v != a and v != b]):
                     seq = (0, a, *mid, b, e)
                     stabilised = False
                     for rev, row in tied:
@@ -124,8 +214,9 @@ def _tally_cyclic_reduced(spec: AdditiveSetSpec) -> list[int]:
                             break
                         stabilised = stabilised or image == seq
                     else:
-                        counts = fixed if stabilised else free
-                        counts[length_of(seq)] += 1
+                        kept[stabilised].append(seq)
+                _tally_orderings(lines, n, kept[False], free)
+                _tally_orderings(lines, n, kept[True], fixed)
     orbit = 2 * n * totient(n)
     return [orbit * c + orbit // 2 * f for c, f in zip(free, fixed)]
 
@@ -139,20 +230,24 @@ def distribution(
 ) -> DistributionTable:
     """Tally the longest-progression length over all |A|! orderings.
 
-    Enumeration is lexicographic on canonical indices.  Symmetry reduction
-    (interval and cyclic families only) scans one representative per orbit
-    and counts it with its orbit's size.  Reversal keeps L, and so do
-    reflection v -> n+1-v on [1, n] (a group of order 4 with reversal) and
-    the maps x -> u*x + t of Z/nZ, u a unit (order 2n*phi(n) with
-    reversal).  An interval ordering is kept when its first term a and last
-    term b have a < b and a + b <= n + 1, with weight 4, or weight 2 when
-    a + b = n + 1.  A cyclic ordering is kept when it runs from 0 to a
-    divisor e of n and is the lexicographic minimum of its images that do
-    the same, with weight 2n*phi(n), halved when one of them is itself.
-    The reduction is opt-in and is validated against unreduced enumeration
-    in the test suite.  The budget follows the work that runs: |A| <=
-    PARALLEL_BUDGET under symmetry reduction or a pool of two or more
-    workers, |A| <= SERIAL_BUDGET otherwise.
+    The orderings are tallied in blocks (_tally_block): each block fixes the
+    positions of all but at most _BLOCK_FREE elements and holds every
+    placement of the rest, and one pass of bitwise operations over the
+    lines of the set's length engine, built once per call, gives the L of
+    all its orderings at once.  Symmetry reduction (interval and cyclic
+    families only) tallies one representative per orbit and counts it with
+    its orbit's size.  Reversal keeps L, and so do reflection v -> n+1-v on
+    [1, n] (a group of order 4 with reversal) and the maps x -> u*x + t of
+    Z/nZ, u a unit (order 2n*phi(n) with reversal).  An interval ordering
+    is kept when its first term a and last term b have a < b and
+    a + b <= n + 1, with weight 4, or weight 2 when a + b = n + 1.  A
+    cyclic ordering is kept when it runs from 0 to a divisor e of n and is
+    the lexicographic minimum of its images that do the same, with weight
+    2n*phi(n), halved when one of them is itself.  The reduction is opt-in
+    and is validated against unreduced enumeration in the test suite.  The
+    budget follows the work that runs: |A| <= PARALLEL_BUDGET under
+    symmetry reduction or a pool of two or more workers, |A| <=
+    SERIAL_BUDGET otherwise.
     """
     card = spec.cardinality
     pooled = parallel is not None and parallel > 1 and not symmetry_reduction
@@ -165,28 +260,38 @@ def distribution(
         if cached is not None:
             return cached
 
+    reduce = None
     if symmetry_reduction and card >= 2:
         if spec.family == INTERVAL and spec.d == 1:
-            counts = _tally_interval_reduced(spec)
+            reduce = _tally_interval_reduced
         elif spec.family == CYCLIC:
-            counts = _tally_cyclic_reduced(spec)
+            reduce = _tally_cyclic_reduced
         else:
             raise ValueError(
                 "symmetry reduction supports the interval (d=1) and cyclic families"
             )
-    elif pooled and card > 2:
-        prefixes = [
-            (i, j) for i in range(card) for j in range(card) if i != j
-        ]
-        import multiprocessing  # only here: importing it slows every CLI start
-
-        with multiprocessing.Pool(parallel) as pool:
-            partials = pool.map(
-                _prefix_worker, [(spec, prefix) for prefix in prefixes]
-            )
-        counts = [sum(col) for col in zip(*partials)]
+    if card == 1:
+        counts = [0, 1]
     else:
-        counts = _tally_serial(spec, itertools.permutations(range(card)))
+        lines = las.length_engine(spec).lines
+        if reduce is not None:
+            counts = reduce(lines, card)
+        elif pooled and card > 2:
+            # one task per placement of elements 0 and 1
+            tasks = [
+                (lines, card, ((0, i), (1, j)))
+                for i in range(card)
+                for j in range(card)
+                if i != j
+            ]
+            import multiprocessing  # only here: importing it slows every CLI start
+
+            with multiprocessing.Pool(parallel) as pool:
+                partials = pool.map(_placed_worker, tasks)
+            counts = [sum(col) for col in zip(*partials)]
+        else:
+            counts = [0] * (card + 1)
+            _tally_placed(lines, card, (), counts)
 
     total = math.factorial(card)
     if sum(counts) != total:

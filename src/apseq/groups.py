@@ -243,7 +243,7 @@ def parse_set_spec(text: str) -> AdditiveSetSpec:
     """
     head, sep, tail = text.strip().partition(":")
     if not sep or not tail:
-        raise ValueError(f"malformed set spec {text!r}")
+        raise ValueError(f"malformed set spec {_clip(text)}")
     try:
         if head == INTERVAL:
             parts = [_number(s) for s in tail.split(",")]
@@ -260,8 +260,19 @@ def parse_set_spec(text: str) -> AdditiveSetSpec:
             p_str, sep2, d_str = tail.partition("^")
             return elementary(_number(p_str), _number(d_str) if sep2 else 1)
     except ValueError as exc:
-        raise ValueError(f"malformed set spec {text!r}: {exc}") from None
-    raise ValueError(f"unknown set family in {text!r}")
+        reason = str(exc)  # int() repeats up to 200 characters of its input
+        if len(reason) > 60:
+            reason = reason[:60] + "..."
+        raise ValueError(f"malformed set spec {_clip(text)}: {reason}") from None
+    raise ValueError(f"unknown set family in {_clip(text)}")
+
+
+def _clip(text: str, width: int = 40) -> str:
+    """repr(text), or for a longer text the repr of its first width
+    characters and its length: no message repeats a long input whole."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
 
 
 def _number(field: str) -> int:

@@ -510,6 +510,14 @@ class _LineBands:
             best = _longest_run(self._grow(), pos, best)
         return best
 
+    length_of_positions = _scan
+
+    def length_of_indices(self, idx_seq: Sequence[int]) -> int:
+        pos = self._pos
+        for where, idx in enumerate(idx_seq):
+            pos[idx] = where
+        return self.length_of_positions(pos)
+
     def witness(self, idx_seq: Sequence[int]) -> LasResult:
         """Longest progression of the ordering idx_seq with its witness:
         among equal lengths the smallest (base index, step) wins, steps
@@ -661,14 +669,9 @@ class GroupLengthEngine(_LineBands):
                 lines += zip(itertools.repeat(m), map(get, walks))
         return lines
 
-    # its own name in this class, which perfbench's tracer wraps as a scan
-    length_of_positions = _LineBands._scan
-
-    def length_of_indices(self, idx_seq: Sequence[int]) -> int:
-        pos = self._pos
-        for where, idx in enumerate(idx_seq):
-            pos[idx] = where
-        return self.length_of_positions(pos)
+    # names of this class's own, which perfbench's tracer wraps
+    length_of_positions = _LineBands.length_of_positions
+    length_of_indices = _LineBands.length_of_indices
 
 
 class IntervalLengthEngine(_LineBands):
@@ -709,17 +712,8 @@ class IntervalLengthEngine(_LineBands):
             ]
         return lines
 
-    def length_of_indices(self, idx_seq: Sequence[int]) -> int:
-        if self.card == 1:
-            return 1
-        pos = self._pos
-        for where, idx in enumerate(idx_seq):
-            pos[idx] = where
-        # _scan inlined: one call fewer per ordering on the enumeration path
-        best = _longest_run(self._built, pos, 2)
-        while self._reach > best:
-            best = _longest_run(self._grow(), pos, best)
-        return best
+    # a name of this class's own, which perfbench's tracer wraps as a scan
+    length_of_indices = _LineBands.length_of_indices
 
 
 def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:

@@ -240,6 +240,16 @@ def test_oversized_set_exit_code():
     assert "cyclic:<5000 digits>" in proc.stderr and len(proc.stderr) < 200
 
 
+def test_long_malformed_spec_message_is_short():
+    # a negative number is no size, so the digit-count naming does not apply
+    text = "cyclic:-" + "9" * 5000
+    proc = run_cli("predict", "--set", text)
+    assert proc.returncode == 1
+    assert "malformed set spec 'cyclic:-999" in proc.stderr
+    assert f"({len(text)} characters)" in proc.stderr
+    assert len(proc.stderr.encode()) < 200
+
+
 def test_brute_count_above_pair_budget_exit_code(capsys):
     code, out, err = run_main(capsys, "count", "--set", "interval:50,3", "--k", "3",
                               "--method", "brute")

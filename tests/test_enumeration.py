@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from apseq import groups, las
+from apseq import enumeration, groups, las
 from apseq.cli import _golden_rows
 from apseq.enumeration import (
     construct_three_free,
@@ -101,24 +102,99 @@ def test_symmetry_reduction_matches_golden(text):
     assert row + [0] * (len(golden) - len(row)) == golden
 
 
-# Orbit representatives scanned per set: interval:9 has 9!/4 orbits under
+# Orbit representatives tallied per set: interval:9 has 9!/4 orbits under
 # reflection and reversal, cyclic:10 about 10!/80 under the affine maps and
-# reversal.  A reduction that drops reversal scans twice as many.
+# reversal.  A reduction that drops reversal tallies twice as many.  The
+# exact counts are the README's.
 @pytest.mark.parametrize("text, most", [("interval:9", 103_680), ("cyclic:10", 47_628)])
 def test_symmetry_reduction_scan_count(text, most, monkeypatch):
     spec = groups.parse_set_spec(text)
-    engine_cls = type(las.length_engine(spec))
-    scan = engine_cls.length_of_indices
-    calls = []
+    tally = enumeration._tally_block
+    lanes_seen = []
 
-    def counted(self, idx_seq):
-        calls.append(1)
-        return scan(self, idx_seq)
+    def counted(lines, cols, lanes, counts):
+        lanes_seen.append(lanes)
+        return tally(lines, cols, lanes, counts)
 
-    monkeypatch.setattr(engine_cls, "length_of_indices", counted)
+    monkeypatch.setattr(enumeration, "_tally_block", counted)
     table = distribution(spec, symmetry_reduction=True)
     assert sum(table.row()) == math.factorial(spec.n)
-    assert len(calls) <= most
+    assert sum(lanes_seen) <= most
+    assert sum(lanes_seen) == {"interval:9": 100_800, "cyclic:10": 45_648}[text]
+
+
+def _placed_orderings(card, placed):
+    """Every ordering, as canonical indices, that puts each element of
+    placed at its position."""
+    fixed = dict(placed)
+    free = [x for x in range(card) if x not in fixed]
+    open_positions = [p for p in range(card) if p not in fixed.values()]
+    for where in itertools.permutations(open_positions):
+        seq = [0] * card
+        for x, p in [*fixed.items(), *zip(free, where)]:
+            seq[p] = x
+        yield tuple(seq)
+
+
+def _reference_counts(spec, orderings, method):
+    counts = [0] * (spec.cardinality + 1)
+    if method == "scan":
+        length_of = las.length_engine(spec).length_of_indices
+        for seq in orderings:
+            counts[length_of(seq)] += 1
+    else:
+        for seq in orderings:
+            counts[las.longest_ap_pairdp(las.Ordering.from_indices(spec, seq)).length] += 1
+    return counts
+
+
+# Placements (element, position): none, one element (8 free elements, so
+# one block per position of another), and three elements leaving a block of
+# 5! or 6! orderings.
+@pytest.mark.parametrize(
+    "text",
+    ["interval:1", "cyclic:1", "interval:2", "cyclic:2", "interval:3,2", "abelian:2x4",
+     "elementary:3^2", "cyclic:8", "interval:8"],
+)
+def test_block_tally_matches_per_ordering_lengths(text):
+    spec = groups.parse_set_spec(text)
+    card = spec.cardinality
+    lines = las.length_engine(spec).lines
+    placements = [()] if card <= 8 else [((0, card // 2),)]
+    if card >= 3:
+        placements.append(((card - 1, 0), (1, card // 2), (2, card - 1)))
+    for placed in placements:
+        got = [0] * (card + 1)
+        if card == 1:
+            got[1] = 1  # distribution's own case: no block has one element
+        else:
+            enumeration._tally_placed(lines, card, placed, got)
+        orderings = list(_placed_orderings(card, placed))
+        assert sum(got) == len(orderings)
+        assert got == _reference_counts(spec, orderings, "scan"), (text, placed)
+        if len(orderings) <= 720:
+            assert got == _reference_counts(spec, orderings, "pairdp"), (text, placed)
+
+
+def test_block_tally_of_listed_orderings():
+    spec = cyclic(8)
+    orderings = list(itertools.permutations(range(8)))[::97]
+    got = [0] * 9
+    enumeration._tally_orderings(las.length_engine(spec).lines, 8, orderings, got)
+    assert got == _reference_counts(spec, orderings, "pairdp")
+
+
+@pytest.mark.parametrize("text", ["cyclic:12", "interval:12"])
+def test_block_tally_twelve_elements(text):
+    # positions up to 11 in every lane, so each difference meets the guard bit
+    spec = groups.parse_set_spec(text)
+    placed = ((0, 0), (5, 3), (7, 11), (3, 6), (9, 7))
+    got = [0] * 13
+    enumeration._tally_placed(las.length_engine(spec).lines, 12, placed, got)
+    orderings = list(_placed_orderings(12, placed))
+    assert sum(got) == len(orderings) == math.factorial(7)
+    assert got == _reference_counts(spec, orderings, "scan")
+    assert got == _reference_counts(spec, orderings, "pairdp")
 
 
 def test_symmetry_reduction_unsupported_family():
