@@ -47,7 +47,7 @@ class DistributionTable:
         return list(self.counts[1:])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _lane_masks(lanes: int) -> tuple[int, int]:
     """(0x01, 0x80) repeated in each of lanes byte lanes, as ints."""
     return int.from_bytes(b"\x01" * lanes, "little"), int.from_bytes(b"\x80" * lanes, "little")
@@ -55,8 +55,8 @@ def _lane_masks(lanes: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _rank_columns(r: int) -> tuple[bytes, ...]:
-    """Byte j of permutation i of range(r), over the r! permutations in
-    order, as column j."""
+    """The r! permutations of range(r), in order, as r columns: byte i of
+    column j is entry j of permutation i."""
     flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(r))))
     return tuple(flat[j::r] for j in range(r))
 
@@ -81,20 +81,18 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
         terms = [cols[x] for x in line]
         rising = [((b | guard) - a) & guard for a, b in zip(terms, terms[1:])]
         for steps in (rising, [c ^ guard for c in rising]):
-            runs = steps[:m]
-            k = 2
-            while True:
-                k += 1
-                runs = [r & c for r, c in zip(runs, steps[k - 2 :])]
-                hit = 0
-                for r in runs:
-                    hit |= r
-                if not hit:
-                    break
-                if k == len(reached):
-                    reached.append(hit)
-                else:
-                    reached[k] |= hit
+            for t in range(min(m, len(steps))):
+                run = steps[t]
+                k = 2
+                for c in steps[t + 1 :]:
+                    run &= c
+                    if not run:
+                        break
+                    k += 1
+                    if k == len(reached):
+                        reached.append(run)
+                    else:
+                        reached[k] |= run
     lanes_at = [r.bit_count() for r in reached] + [0]
     for k in range(2, len(reached)):
         counts[k] += lanes_at[k] - lanes_at[k + 1]
