@@ -48,9 +48,9 @@ class DistributionTable:
 
 
 @functools.lru_cache(maxsize=16)
-def _lane_masks(lanes: int) -> tuple[int, int]:
-    """(0x01, 0x80) repeated in each of lanes byte lanes, as ints."""
-    return int.from_bytes(b"\x01" * lanes, "little"), int.from_bytes(b"\x80" * lanes, "little")
+def _lane_ones(lanes: int) -> int:
+    """The int with a 1 in each of lanes byte lanes."""
+    return int.from_bytes(b"\x01" * lanes, "little")
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +75,7 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
     a run of k terms, and the difference of consecutive lane counts is the
     number of orderings whose longest run has exactly k terms.
     """
-    guard = _lane_masks(lanes)[1]
+    guard = 0x80 * _lane_ones(lanes)
     reached = [0, 0, guard]  # every ordering has a 2-term progression
     for m, line in lines:
         terms = [cols[x] for x in line]
@@ -115,7 +115,7 @@ def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
     head, tail = free[:extra], free[extra:]
     ranks = _rank_columns(len(tail))
     lanes = math.factorial(len(tail))
-    ones = _lane_masks(lanes)[0]
+    ones = _lane_ones(lanes)
     cols = [0] * card
     for x, p in fixed.items():
         cols[x] = p * ones

@@ -50,7 +50,7 @@ def test_criterion_01_golden_tables():
 
 @pytest.mark.extended
 def test_criterion_01_extended_rows_10_to_12():
-    # hours of CPU at n = 12; the interval family enumerates all 12! orderings
+    # about 40 s on two CPUs; the interval family enumerates all 12! orderings
     # under --parallel while the cyclic family uses the validated reduction
     ok = True
     for n in (10, 11, 12):

@@ -148,9 +148,9 @@ def _reference_counts(spec, orderings, method):
     return counts
 
 
-# Placements (element, position): none, one element (8 free elements, so
-# one block per position of another), and three elements leaving a block of
-# 5! or 6! orderings.
+# Placements (element, position): none on sets of up to 8 elements and one
+# on 9, so 8 free elements split into one block per position of another,
+# and three, which leave a single block of 5! or 6! orderings.
 @pytest.mark.parametrize(
     "text",
     ["interval:1", "cyclic:1", "interval:2", "cyclic:2", "interval:3,2", "abelian:2x4",
