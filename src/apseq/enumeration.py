@@ -47,12 +47,6 @@ class DistributionTable:
         return list(self.counts[1:])
 
 
-@functools.lru_cache(maxsize=16)
-def _lane_ones(lanes: int) -> int:
-    """The int with a 1 in each of lanes byte lanes."""
-    return int.from_bytes(b"\x01" * lanes, "little")
-
-
 @functools.lru_cache(maxsize=None)
 def _rank_columns(r: int) -> tuple[bytes, ...]:
     """The r! permutations of range(r), in order, as r columns: byte i of
@@ -75,7 +69,7 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
     a run of k terms, and the difference of consecutive lane counts is the
     number of orderings whose longest run has exactly k terms.
     """
-    guard = 0x80 * _lane_ones(lanes)
+    guard = 0x80 * las.lane_ones(lanes, 8)
     reached = [0, 0, guard]  # every ordering has a 2-term progression
     for m, line in lines:
         terms = [cols[x] for x in line]
@@ -115,7 +109,7 @@ def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
     head, tail = free[:extra], free[extra:]
     ranks = _rank_columns(len(tail))
     lanes = math.factorial(len(tail))
-    ones = _lane_ones(lanes)
+    ones = las.lane_ones(lanes, 8)
     cols = [0] * card
     for x, p in fixed.items():
         cols[x] = p * ones
@@ -129,16 +123,10 @@ def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
         _tally_block(lines, cols, lanes, counts)
 
 
-def _tally_orderings(lines, card: int, seqs: list, counts: list[int]) -> None:
+def _tally_orderings(lines, seqs: list, counts: list[int]) -> None:
     """Add to counts the L of each ordering of seqs (canonical indices)."""
-    if not seqs:
-        return
-    flat = bytearray(card * len(seqs))
-    for base, seq in zip(range(0, len(flat), card), seqs):
-        for where, x in enumerate(seq):
-            flat[base + x] = where
-    cols = [int.from_bytes(flat[x::card], "little") for x in range(card)]
-    _tally_block(lines, cols, len(seqs), counts)
+    if seqs:
+        _tally_block(lines, *las.lane_columns(seqs, 8), counts)
 
 
 def _placed_worker(args) -> list[int]:
@@ -213,8 +201,8 @@ def _tally_cyclic_reduced(lines, n: int) -> list[int]:
                         stabilised = stabilised or image == seq
                     else:
                         kept[stabilised].append(seq)
-                _tally_orderings(lines, n, kept[False], free)
-                _tally_orderings(lines, n, kept[True], fixed)
+                _tally_orderings(lines, kept[False], free)
+                _tally_orderings(lines, kept[True], fixed)
     orbit = 2 * n * totient(n)
     return [orbit * c + orbit // 2 * f for c, f in zip(free, fixed)]
 

@@ -22,14 +22,18 @@ family.
 
 N_k, the number of k-term progression subsequences, counts the tuples of
 progression_index_tuples, built from successor tables in groups and
-row-major strides in boxes, that appear in order.
+row-major strides in boxes, that appear in order.  count_in_order checks
+them in one ordering; count_in_orders checks them in many orderings at once,
+one 16-bit lane per ordering, and count_in_order is its oracle.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -334,6 +338,83 @@ def count_in_order(progs, idx_seq: Sequence[int]) -> int:
         else:
             count += 1
     return count
+
+
+@functools.lru_cache(maxsize=16)
+def lane_ones(lanes: int, width: int) -> int:
+    """The int with a 1 at the bottom of each of lanes width-bit lanes."""
+    return int.from_bytes(b"\x01".ljust(width // 8, b"\0") * lanes, "little")
+
+
+def lane_columns(seqs, width: int) -> tuple[list[int], int]:
+    """Each element's positions in the orderings of seqs (canonical indices,
+    all of one set) as one int per element, and the number of orderings.
+
+    Lane i, width bits from bit width * i, of the int of element x holds the
+    position of x in the i-th ordering.  Positions stay below
+    2^(width - 1), so the top bit of each lane is free as a guard bit.  seqs
+    may be any iterable; each ordering is packed as it is read.
+    """
+    flat = array.array("B" if width == 8 else "H")
+    card = 0
+    for seq in seqs:
+        card = len(seq)
+        pos = [0] * card
+        for where, idx in enumerate(seq):
+            pos[idx] = where
+        flat.extend(pos)
+    assert card <= 1 << (width - 1), "positions would reach the guard bit"
+    # the array holds native-order lanes; its bytes read back in that order
+    cols = [int.from_bytes(flat[x::card], sys.byteorder) for x in range(card)]
+    return cols, len(flat) // card if card else 0
+
+
+# A 16-bit lane counts at most 65,535 tuples before count_in_orders must
+# flush it.
+_LANE_FLUSH = 0xFFFF
+
+
+def count_in_orders(progs, seqs) -> list[int]:
+    """count_in_order(progs, seq) for each ordering seq of seqs, in one pass
+    over progs.
+
+    Each element's positions are packed by lane_columns into 16-bit lanes
+    with guard bit G = 0x8000.  ((col_b | G) - col_a) & G sets G in the
+    lanes where b comes after a, and no lane borrows from the next; ANDing
+    a tuple's k - 1 comparisons leaves G in the lanes that hold it in
+    order.  mask >> 15 adds 1 to those lanes of a 16-bit accumulator,
+    which is flushed into per-lane ints every _LANE_FLUSH tuples.
+    """
+    cols, lanes = lane_columns(seqs, 16)
+    counts = [0] * lanes
+    if not progs or not lanes:
+        return counts
+    guard = 0x8000 * lane_ones(lanes, 16)
+    high = [c | guard for c in cols]
+    k = len(progs[0])
+    for start in range(0, len(progs), _LANE_FLUSH):
+        part = progs[start : start + _LANE_FLUSH]
+        acc = 0
+        # the common k = 3 and 4 unrolled, as in count_in_order
+        if k == 3:
+            for a, b, c in part:
+                acc += (guard & (high[b] - cols[a]) & (high[c] - cols[b])) >> 15
+        elif k == 4:
+            for a, b, c, e in part:
+                acc += (
+                    guard & (high[b] - cols[a]) & (high[c] - cols[b]) & (high[e] - cols[c])
+                ) >> 15
+        else:
+            for terms in part:
+                mask = guard
+                for a, b in zip(terms, terms[1:]):
+                    mask &= high[b] - cols[a]
+                    if not mask:
+                        break
+                acc += mask >> 15
+        lane_counts = array.array("H", acc.to_bytes(2 * lanes, sys.byteorder))
+        counts = [n + c for n, c in zip(counts, lane_counts)]
+    return counts
 
 
 def count_k_subsequences(ordering: Ordering, k: int) -> int:

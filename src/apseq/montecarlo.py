@@ -6,6 +6,11 @@ All randomness comes from a fixed, portable 64-bit generator (splitmix64).
 Each sample draws from its own substream derived from (seed, sample index),
 so results are bit-identical no matter how samples are distributed across
 workers.
+
+N_k samples are counted in blocks, one lane per ordering, by
+las.count_in_orders; a chunk of fewer than _NK_MIN_LANES samples counts
+each ordering by las.count_in_order, the per-ordering route.  Both give the
+same integers, so the statistics do not depend on the route.
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ NK_ENTRY_BUDGET = 4 * 10**6
 # Most orderings one Monte Carlo experiment draws (simulate exits 2 above
 # it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
 SAMPLE_CAP = 10**7
+# _nk_chunk counts at most this many orderings in one las.count_in_orders
+# call: each element's column then holds 1 KB of 16-bit lanes.
+_NK_LANES = 512
+# Below this many samples a chunk counts one ordering at a time: the scalar
+# loop beats the lane kernel at one or two lanes.
+_NK_MIN_LANES = 4
 
 
 def _fmix64(z: int) -> int:
@@ -129,23 +140,32 @@ def _nk_chunk(args) -> list[int]:
     spec, seed, start, stop, k = args
     progs = las.progression_index_tuples(spec, k)
     card = spec.cardinality
-    return [
-        las.count_in_order(progs, _shuffled_indices(card, substream(seed, i)))
-        for i in range(start, stop)
-    ]
+    if stop - start < _NK_MIN_LANES:
+        return [
+            las.count_in_order(progs, _shuffled_indices(card, substream(seed, i)))
+            for i in range(start, stop)
+        ]
+    blocks = -(-(stop - start) // _NK_LANES)
+    size = -(-(stop - start) // blocks)  # blocks of near-equal size
+    out: list[int] = []
+    for a in range(start, stop, size):
+        seqs = (_shuffled_indices(card, substream(seed, i)) for i in range(a, min(a + size, stop)))
+        out += las.count_in_orders(progs, seqs)
+    return out
 
 
 def _map_chunks(worker, config: ExperimentConfig, parallel: int | None, *extra) -> list:
     """worker's results on consecutive sample ranges, one range per pool
-    worker (or one range in-process), in sample order."""
+    worker (or one range in-process), in sample order.  The pool has no more
+    workers than ranges, and a single range runs in-process."""
     spec, m, seed = config.spec, config.samples, config.seed
-    if not (parallel and parallel > 1):
-        return [worker((spec, seed, 0, m, *extra))]
-    size = (m + parallel - 1) // parallel
+    size = -(-m // parallel) if parallel and parallel > 1 else m
     jobs = [(spec, seed, a, min(a + size, m), *extra) for a in range(0, m, size)]
+    if len(jobs) == 1:
+        return [worker(jobs[0])]
     import multiprocessing  # only here: importing it slows every CLI start
 
-    with multiprocessing.Pool(parallel) as pool:
+    with multiprocessing.Pool(len(jobs)) as pool:
         return pool.map(worker, jobs)
 
 

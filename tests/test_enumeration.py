@@ -180,7 +180,7 @@ def test_block_tally_of_listed_orderings():
     spec = cyclic(8)
     orderings = list(itertools.permutations(range(8)))[::97]
     got = [0] * 9
-    enumeration._tally_orderings(las.length_engine(spec).lines, 8, orderings, got)
+    enumeration._tally_orderings(las.length_engine(spec).lines, orderings, got)
     assert got == _reference_counts(spec, orderings, "pairdp")
 
 

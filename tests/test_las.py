@@ -12,6 +12,8 @@ from apseq.las import (
     ENGINE_CAP,
     PAIR_DP_CAP,
     Ordering,
+    count_in_order,
+    count_in_orders,
     count_k_subsequences,
     length_engine,
     longest_ap_orbitwalk,
@@ -387,6 +389,53 @@ def test_count_k_subsequences_domain():
     # 3163^2 = 10,004,569 candidate pairs, one set past the enumeration cap
     with pytest.raises(CapExceeded):
         count_k_subsequences(_ordering(cyclic(3163), range(3163)), 3)
+
+
+def _lane_orderings(card, lanes, seed):
+    # the identity and its reverse, then random shuffles
+    rnd = random.Random(seed)
+    seqs = [list(range(card)), list(range(card))[::-1]]
+    while len(seqs) < lanes:
+        seq = list(range(card))
+        rnd.shuffle(seq)
+        seqs.append(seq)
+    return seqs[:lanes]
+
+
+@pytest.mark.parametrize(
+    "text", ["interval:30", "interval:5,2", "cyclic:50", "abelian:2x6", "elementary:3^3"]
+)
+def test_lane_counts_match_count_in_order(text):
+    spec = parse_set_spec(text)
+    seqs = _lane_orderings(spec.cardinality, 513, 41)
+    for k in range(2, 7):
+        progs = progression_index_tuples(spec, k)
+        want = [count_in_order(progs, seq) for seq in seqs]
+        for lanes in (1, 2, 3, 64, 513):
+            assert count_in_orders(progs, seqs[:lanes]) == want[:lanes], (text, k, lanes)
+        # a generator is packed as it is read
+        assert count_in_orders(progs, iter(seqs[:3])) == want[:3]
+
+
+def test_lane_counts_edge_cases():
+    # k = |A|: only the identity and its reverse hold a progression in order
+    progs = progression_index_tuples(interval_box(6), 6)
+    seqs = _lane_orderings(6, 64, 5)
+    assert count_in_orders(progs, seqs) == [count_in_order(progs, s) for s in seqs]
+    assert count_in_orders(progs, seqs)[:2] == [1, 1]
+    # 89,400 tuples cross an accumulator flush
+    progs = progression_index_tuples(cyclic(300), 3)
+    assert len(progs) == 89_400
+    seqs = _lane_orderings(300, 5, 6)
+    assert count_in_orders(progs, seqs) == [count_in_order(progs, s) for s in seqs]
+    # a lane that holds every tuple of a full flush and then some more
+    repeated = ((0, 1),) * 70_000
+    assert count_in_orders(repeated, [[0, 1], [1, 0], [0, 1]]) == [70_000, 0, 70_000]
+    # no progression 3-ordering in a group of exponent 2
+    progs = progression_index_tuples(elementary(2, 4), 3)
+    assert progs == ()
+    assert count_in_orders(progs, _lane_orderings(16, 7, 7)) == [0] * 7
+    assert count_in_orders(progs, []) == []
 
 
 def test_consistency_with_length():

@@ -148,9 +148,56 @@ def test_empirical_distribution_converges_n8():
 def test_parallel_matches_serial():
     cfg = ExperimentConfig(cyclic(20), 300, 77)
     assert empirical_L_distribution(cfg) == empirical_L_distribution(cfg, parallel=2)
-    cfg_k = ExperimentConfig(cyclic(20), 300, 77, 3)
-    a = estimate_Nk_mean(cfg_k)
-    b = estimate_Nk_mean(cfg_k, parallel=3)
+    # chunks of 300, 100 and 6 samples count in lanes, chunks of 3 and 2
+    # one ordering at a time; 600 samples fill two blocks of lanes
+    for samples, parallels in ((300, (3,)), (6, (1, 2, 3)), (600, (1, 2))):
+        cfg_k = ExperimentConfig(cyclic(20), samples, 77, 3)
+        a = estimate_Nk_mean(cfg_k)
+        for parallel in parallels:
+            b = estimate_Nk_mean(cfg_k, parallel=parallel)
+            assert (a.mean, a.stderr, a.expected, a.z) == (b.mean, b.stderr, b.expected, b.z)
+
+
+def test_nk_chunk_routes_match_count_in_order():
+    spec = cyclic(20)
+    progs = las.progression_index_tuples(spec, 3)
+    want = [
+        las.count_in_order(progs, montecarlo._shuffled_indices(20, substream(5, i)))
+        for i in range(520)
+    ]
+    # 513 samples cross a block of lanes; 3 take the per-ordering route
+    for start, stop in ((0, 513), (7, 520), (4, 7), (10, 14)):
+        assert montecarlo._nk_chunk((spec, 5, start, stop, 3)) == want[start:stop]
+
+
+def test_single_chunk_runs_in_process(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a single chunk")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    cfg = ExperimentConfig(cyclic(20), 1, 77, 3)
+    a = estimate_Nk_mean(cfg)
+    b = estimate_Nk_mean(cfg, parallel=4)
+    assert (a.mean, a.stderr, a.expected, a.z) == (b.mean, b.stderr, b.expected, b.z)
+    assert empirical_L_distribution(cfg, parallel=8) == empirical_L_distribution(cfg)
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    import multiprocessing
+
+    real_pool, sizes = multiprocessing.Pool, []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    cfg = ExperimentConfig(cyclic(20), 2, 77, 3)
+    b = estimate_Nk_mean(cfg, parallel=8)
+    a = estimate_Nk_mean(cfg)
+    assert sizes == [2]
     assert (a.mean, a.stderr, a.expected, a.z) == (b.mean, b.stderr, b.expected, b.z)
 
 
