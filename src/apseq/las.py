@@ -29,7 +29,6 @@ one 16-bit lane per ordering, and count_in_order is its oracle.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import math
@@ -355,16 +354,18 @@ def lane_columns(seqs, width: int) -> tuple[list[int], int]:
     2^(width - 1), so the top bit of each lane is free as a guard bit.  seqs
     may be any iterable; each ordering is packed as it is read.
     """
-    flat = array.array("B" if width == 8 else "H")
+    code = "B" if width == 8 else "H"
+    rows = bytearray()
     card = 0
     for seq in seqs:
         card = len(seq)
-        pos = [0] * card
+        pos = memoryview(bytearray(card * width // 8)).cast(code)
         for where, idx in enumerate(seq):
             pos[idx] = where
-        flat.extend(pos)
+        rows += pos
     assert card <= 1 << (width - 1), "positions would reach the guard bit"
-    # the array holds native-order lanes; its bytes read back in that order
+    # the lanes are native-order items; their bytes read back in that order
+    flat = memoryview(rows).cast(code)
     cols = [int.from_bytes(flat[x::card], sys.byteorder) for x in range(card)]
     return cols, len(flat) // card if card else 0
 
@@ -412,7 +413,7 @@ def count_in_orders(progs, seqs) -> list[int]:
                     if not mask:
                         break
                 acc += mask >> 15
-        lane_counts = array.array("H", acc.to_bytes(2 * lanes, sys.byteorder))
+        lane_counts = memoryview(acc.to_bytes(2 * lanes, sys.byteorder)).cast("H")
         counts = [n + c for n, c in zip(counts, lane_counts)]
     return counts
 
