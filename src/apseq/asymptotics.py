@@ -13,26 +13,68 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import counting
 from .errors import InternalInvariantError
-from .groups import CYCLIC, INTERVAL, AdditiveSetSpec
+from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, Frozen
 
 RESIDUAL_TOL = 1e-9
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ThresholdResult:
+
+class ThresholdResult(Frozen):
     """Solved threshold with its integer window and solver diagnostics."""
 
-    value: float
-    window: tuple[int, int]
-    family: str
-    boundary_clamped: bool
-    asymptotic: float | None
-    residual: float
-    mode: str = "interp"
+    __slots__ = ("value", "window", "family", "boundary_clamped", "asymptotic", "residual", "mode")
+
+    def __init__(
+        self,
+        value: float,
+        window: tuple[int, int],
+        family: str,
+        boundary_clamped: bool,
+        asymptotic: float | None,
+        residual: float,
+        mode: str = "interp",
+    ):
+        _set(self, "value", value)
+        _set(self, "window", window)
+        _set(self, "family", family)
+        _set(self, "boundary_clamped", boundary_clamped)
+        _set(self, "asymptotic", asymptotic)
+        _set(self, "residual", residual)
+        _set(self, "mode", mode)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.value, self.window, self.family, self.boundary_clamped,
+            self.asymptotic, self.residual, self.mode,
+        ) == (
+            other.value, other.window, other.family, other.boundary_clamped,
+            other.asymptotic, other.residual, other.mode,
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.value, self.window, self.family, self.boundary_clamped,
+            self.asymptotic, self.residual, self.mode,
+        ))
+
+    def __repr__(self) -> str:
+        return (
+            f"ThresholdResult(value={self.value!r}, window={self.window!r}, "
+            f"family={self.family!r}, boundary_clamped={self.boundary_clamped!r}, "
+            f"asymptotic={self.asymptotic!r}, residual={self.residual!r}, mode={self.mode!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (
+            self.value, self.window, self.family, self.boundary_clamped,
+            self.asymptotic, self.residual, self.mode,
+        )
 
 
 @functools.lru_cache(maxsize=1 << 16)

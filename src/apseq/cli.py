@@ -306,16 +306,15 @@ def _cmd_nonabelian(args) -> int:
 def _golden_rows(family: str) -> dict[int, list[int]]:
     import csv
     import hashlib
-    import importlib.resources
 
+    # read beside this file: importlib.resources would import typing
+    data = os.path.join(os.path.dirname(__file__), "data")
     name = GOLDEN_FILES[family]
-    data = importlib.resources.files("apseq.data")
-    raw = data.joinpath(name).read_bytes()
+    with open(os.path.join(data, name), "rb") as fh:
+        raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    want = dict(
-        line.split()[::-1]
-        for line in data.joinpath("golden.sha256").read_text().strip().splitlines()
-    )
+    with open(os.path.join(data, "golden.sha256"), encoding="utf-8") as fh:
+        want = dict(line.split()[::-1] for line in fh.read().strip().splitlines())
     if want.get(name) != digest:
         raise InternalInvariantError(f"golden file {name} fails its checksum")
     rows: dict[int, list[int]] = {}

@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator, Optional
 
 from . import groups
 from .errors import CapExceeded
-from .groups import INTERVAL, AdditiveSetSpec, divisors
+from .groups import INTERVAL, AdditiveSetSpec, Frozen, divisors
 
 CLOSED_FORM = "ClosedForm"
 BRUTE_FORCE = "BruteForce"
@@ -35,29 +34,66 @@ DEFAULT_INTERVAL_BRUTE_N = 50
 ENUM_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class CountResult:
+_set = object.__setattr__
+
+
+class CountResult(Frozen):
     """Exact count or (lower, upper) bounds, with provenance."""
 
-    lower: int
-    upper: int
-    method: str
-    exact: Optional[int] = None
+    __slots__ = ("lower", "upper", "method", "exact")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} > upper {self.upper}")
-        if self.exact is not None and not (self.lower <= self.exact <= self.upper):
-            raise ValueError(f"exact {self.exact} outside [{self.lower}, {self.upper}]")
+    def __init__(self, lower: int, upper: int, method: str, exact: int | None = None):
+        if lower > upper:
+            raise ValueError(f"lower {lower} > upper {upper}")
+        if exact is not None and not (lower <= exact <= upper):
+            raise ValueError(f"exact {exact} outside [{lower}, {upper}]")
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "method", method)
+        _set(self, "exact", exact)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lower, self.upper, self.method, self.exact) == (
+            other.lower, other.upper, other.method, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.lower, self.upper, self.method, self.exact))
+
+    def __repr__(self) -> str:
+        return (
+            f"CountResult(lower={self.lower!r}, upper={self.upper!r}, "
+            f"method={self.method!r}, exact={self.exact!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.lower, self.upper, self.method, self.exact)
 
 
-@dataclass(frozen=True)
-class APSpec:
+class APSpec(Frozen):
     """A progression: base point, step, and length."""
 
-    base: tuple
-    step: tuple
-    length: int
+    __slots__ = ("base", "step", "length")
+
+    def __init__(self, base: tuple, step: tuple, length: int):
+        _set(self, "base", base)
+        _set(self, "step", step)
+        _set(self, "length", length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.step, self.length) == (other.base, other.step, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.step, self.length))
+
+    def __repr__(self) -> str:
+        return f"APSpec(base={self.base!r}, step={self.step!r}, length={self.length!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.base, self.step, self.length)
 
 
 def progression_terms(spec: AdditiveSetSpec, ap: APSpec) -> tuple:
@@ -80,15 +116,19 @@ def _exact(value: int, method: str = CLOSED_FORM) -> CountResult:
 
 
 def count_interval(n: int, k: int) -> CountResult:
-    """Exact number of progression k-orderings of [1,n].
+    """Exact number of progression k-orderings of [1,n]: n for k = 1 (the
+    singletons), as brute force counts them.
 
-    Summing 2(n-(k-1)r) over steps r = 1..m with m = floor((n-1)/(k-1)) gives
-    2nm - (k-1)(m^2 + m); the factor 2 covers the two step signs.
+    For k >= 2, summing 2(n-(k-1)r) over steps r = 1..m with
+    m = floor((n-1)/(k-1)) gives 2nm - (k-1)(m^2 + m); the factor 2 covers
+    the two step signs.  For k > n, m = 0 and the count is 0.
     """
-    if n < 2:
-        raise ValueError("count_interval requires n >= 2")
-    if k < 2 or k > n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
+    if n < 1:
+        raise ValueError("count_interval requires n >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1:
+        return _exact(n)
     m = (n - 1) // (k - 1)
     return _exact(2 * n * m - (k - 1) * (m * m + m))
 
@@ -116,12 +156,14 @@ def bounds_interval(n: int, k: int) -> CountResult:
 
 def count_lattice(n: int, k: int, d: int) -> CountResult:
     """Exact count for the box [1,n]^d: (P + n)^d - n^d with P the 1-dim
-    count; 0 for k > n when d >= 2, as no progression has more than n terms."""
+    count, as each coordinate of a nonzero step moves by a 1-dim step or
+    stays at one of n values; so 0 for k > n.  A 1-term progression has no
+    step, so k = 1 counts the n^d singletons."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d > 1 and k > n:
-        return _exact(0)
     p1 = count_interval(n, k).exact
+    if k == 1:
+        return _exact(n**d)
     return _exact((p1 + n) ** d - n**d)
 
 

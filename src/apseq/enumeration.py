@@ -18,11 +18,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__, groups, las
 from .errors import CapExceeded, InternalInvariantError
-from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, totient
+from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, Frozen, totient
 
 SERIAL_BUDGET = 10
 PARALLEL_BUDGET = 12
@@ -31,14 +30,36 @@ PARALLEL_BUDGET = 12
 _BLOCK_FREE = 7
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """counts[k] = number of orderings whose longest embedded progression
-    has length k; the counts sum to |A|!."""
+_set = object.__setattr__
 
-    spec: AdditiveSetSpec
-    counts: tuple[int, ...]  # entry [k] for k = 0..|A|; [0] unused
-    total: int
+
+class DistributionTable(Frozen):
+    """counts[k] = number of orderings whose longest embedded progression
+    has length k, for k = 0..|A| ([0] unused); the counts sum to |A|!."""
+
+    __slots__ = ("spec", "counts", "total")
+
+    def __init__(self, spec: AdditiveSetSpec, counts: tuple[int, ...], total: int):
+        _set(self, "spec", spec)
+        _set(self, "counts", counts)
+        _set(self, "total", total)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.counts, self.total) == (other.spec, other.counts, other.total)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.counts, self.total))
+
+    def __repr__(self) -> str:
+        return (
+            f"DistributionTable(spec={self.spec!r}, counts={self.counts!r}, "
+            f"total={self.total!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.spec, self.counts, self.total)
 
     def as_dict(self) -> dict[int, int]:
         return {k: c for k, c in enumerate(self.counts) if k >= 1}

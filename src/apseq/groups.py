@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .errors import CapExceeded
 
@@ -100,8 +99,24 @@ def normalize_invariant_factors(factors) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class AdditiveSetSpec:
+class Frozen:
+    """Base of apseq's value classes.  Each subclass keeps its fields in
+    __slots__ and writes them once, in __init__, with object.__setattr__;
+    any later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class AdditiveSetSpec(Frozen):
     """Description of the finite additive set under study.
 
     family: one of INTERVAL ([1,n]^d in Z^d), CYCLIC (Z/nZ), ABELIAN
@@ -113,65 +128,91 @@ class AdditiveSetSpec:
     coordinate: 1 in a box, 0 in a group).  A set with more than
     MAX_DIMENSION coordinates or MAX_CARDINALITY elements raises
     CapExceeded before its size is computed in full, and one with a
-    number above MAX_CARDINALITY before any other check.
+    number above MAX_CARDINALITY before any other check.  Equality, hash,
+    repr and pickling read only family, n, d, p and factors; the hash is
+    kept, as every lru_cache keyed by a spec hashes it per call.
     """
 
-    family: str
-    n: int = 0
-    d: int = 1
-    p: int = 0
-    factors: tuple[int, ...] = ()
-    radixes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    cardinality: int = field(init=False, repr=False, compare=False)
-    origin: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = (
+        "family", "n", "d", "p", "factors",
+        "radixes", "strides", "cardinality", "origin", "_hash",
+    )
 
-    def __post_init__(self):
-        if self.d > MAX_DIMENSION:  # before (n,) * d is built
+    def __init__(
+        self, family: str, n: int = 0, d: int = 1, p: int = 0, factors: tuple[int, ...] = ()
+    ):
+        factors = tuple(factors)
+        _set(self, "family", family)
+        _set(self, "n", n)
+        _set(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "factors", factors)
+        if d > MAX_DIMENSION:  # before (n,) * d is built
             raise CapExceeded(f"{self} exceeds the cap of {MAX_DIMENSION} coordinates")
         # a set with a side, prime or factor above the cap has more elements;
         # refused before any check that would factor or multiply it
-        if max(self.n, self.p, *self.factors) > MAX_CARDINALITY:
+        if max(n, p, *factors) > MAX_CARDINALITY:
             raise CapExceeded(f"{self} exceeds the cap |A| <= {MAX_CARDINALITY}")
-        if self.family == INTERVAL:
-            if self.n < 1 or self.d < 1:
+        origin = 0
+        if family == INTERVAL:
+            if n < 1 or d < 1:
                 raise ValueError("interval box requires n >= 1 and d >= 1")
-            radixes = (self.n,) * self.d
-            object.__setattr__(self, "origin", 1)
-        elif self.family == CYCLIC:
-            if self.n < 1:
+            radixes = (n,) * d
+            origin = 1
+        elif family == CYCLIC:
+            if n < 1:
                 raise ValueError("cyclic group requires n >= 1")
-            radixes = (self.n,)
-        elif self.family == ABELIAN:
-            object.__setattr__(self, "factors", tuple(self.factors))
-            if not self.factors:
+            radixes = (n,)
+        elif family == ABELIAN:
+            if not factors:
                 raise ValueError("abelian group requires at least one factor")
-            if any(f < 2 for f in self.factors):
+            if any(f < 2 for f in factors):
                 raise ValueError("invariant factors must be >= 2")
-            for a, b in zip(self.factors, self.factors[1:]):
+            for a, b in zip(factors, factors[1:]):
                 if b % a != 0:
                     raise ValueError(
                         "factors must form a divisibility chain; "
                         "use normalize_invariant_factors first"
                     )
-            radixes = self.factors
-        elif self.family == ELEMENTARY:
-            if self.p < 2 or factorize(self.p) != {self.p: 1}:
-                raise ValueError(f"{self.p} is not prime")
-            if self.d < 1:
+            radixes = factors
+        elif family == ELEMENTARY:
+            if p < 2 or factorize(p) != {p: 1}:
+                raise ValueError(f"{p} is not prime")
+            if d < 1:
                 raise ValueError("elementary p-group requires d >= 1")
-            radixes = (self.p,) * self.d
+            radixes = (p,) * d
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         cardinality = 1
         for m in radixes:
             cardinality *= m
             if cardinality > MAX_CARDINALITY:
                 raise CapExceeded(f"{self} exceeds the cap |A| <= {MAX_CARDINALITY}")
         strides = tuple(itertools.accumulate(radixes[:0:-1], operator.mul, initial=1))
-        object.__setattr__(self, "radixes", radixes)
-        object.__setattr__(self, "strides", strides[::-1])
-        object.__setattr__(self, "cardinality", cardinality)
+        _set(self, "radixes", radixes)
+        _set(self, "strides", strides[::-1])
+        _set(self, "cardinality", cardinality)
+        _set(self, "origin", origin)
+        _set(self, "_hash", hash((family, n, d, p, factors)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.n, self.d, self.p, self.factors) == (
+            other.family, other.n, other.d, other.p, other.factors)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"AdditiveSetSpec(family={self.family!r}, n={self.n!r}, d={self.d!r}, "
+            f"p={self.p!r}, factors={self.factors!r})"
+        )
+
+    def __reduce__(self):
+        # rebuilt by the constructor: the kept hash is per process
+        return self.__class__, (self.family, self.n, self.d, self.p, self.factors)
 
     @property
     def dimension(self) -> int:

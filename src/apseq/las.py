@@ -33,13 +33,12 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Optional, Sequence
 
 from . import counting, groups
 from .errors import CapExceeded, InternalInvariantError
-from .groups import INTERVAL, AdditiveSetSpec
+from .groups import INTERVAL, AdditiveSetSpec, Frozen
 
 PAIR_DP_CAP = 5000
 # Built in full, a group engine stores about |A|^2 line entries, its walks
@@ -113,18 +112,43 @@ class Ordering:
         return f"Ordering({self.spec}, {list(self.indices)})"
 
 
-@dataclass(frozen=True)
-class LasResult:
+_set = object.__setattr__
+
+
+class LasResult(Frozen):
     """Length of the longest progression subsequence, with a witness.
 
     The witness is None only for singleton sets; otherwise base and step
     describe the progression and indices are the positions realizing it.
     """
 
-    length: int
-    base: Optional[tuple]
-    step: Optional[tuple]
-    indices: tuple[int, ...]
+    __slots__ = ("length", "base", "step", "indices")
+
+    def __init__(
+        self, length: int, base: tuple | None, step: tuple | None, indices: tuple[int, ...]
+    ):
+        _set(self, "length", length)
+        _set(self, "base", base)
+        _set(self, "step", step)
+        _set(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.length, self.base, self.step, self.indices) == (
+            other.length, other.base, other.step, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.base, self.step, self.indices))
+
+    def __repr__(self) -> str:
+        return (
+            f"LasResult(length={self.length!r}, base={self.base!r}, "
+            f"step={self.step!r}, indices={self.indices!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.length, self.base, self.step, self.indices)
 
 
 def _singleton_result() -> LasResult:

@@ -16,11 +16,10 @@ same integers, so the statistics do not depend on the route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import asymptotics, counting, las
 from .errors import CapExceeded
-from .groups import AdditiveSetSpec
+from .groups import AdditiveSetSpec, Frozen
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -108,33 +107,74 @@ def sample_ordering(spec: AdditiveSetSpec, rng: SplitMix64) -> las.Ordering:
     return las.Ordering.from_indices(spec, _shuffled_indices(spec.cardinality, rng))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+_set = object.__setattr__
+
+
+class ExperimentConfig(Frozen):
     """A reproducible experiment: identical configs give identical results."""
 
-    spec: AdditiveSetSpec
-    samples: int
-    seed: int
-    k: int | None = None
+    __slots__ = ("spec", "samples", "seed", "k")
 
-    def __post_init__(self):
-        if not 0 <= self.seed <= _M64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.samples < 1:
+    def __init__(self, spec: AdditiveSetSpec, samples: int, seed: int, k: int | None = None):
+        if not 0 <= seed <= _M64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        if samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.samples > SAMPLE_CAP:
+        if samples > SAMPLE_CAP:
             raise CapExceeded(f"samples capped at {SAMPLE_CAP}")
+        _set(self, "spec", spec)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
+        _set(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.samples, self.seed, self.k) == (
+            other.spec, other.samples, other.seed, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.samples, self.seed, self.k))
+
+    def __repr__(self) -> str:
+        return (
+            f"ExperimentConfig(spec={self.spec!r}, samples={self.samples!r}, "
+            f"seed={self.seed!r}, k={self.k!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.spec, self.samples, self.seed, self.k)
 
 
-@dataclass(frozen=True)
-class SubseqCountStats:
+class SubseqCountStats(Frozen):
     """Sample statistics of the k-progression subsequence count."""
 
-    mean: float
-    stderr: float
-    expected: float
-    z: float
-    samples: int
+    __slots__ = ("mean", "stderr", "expected", "z", "samples")
+
+    def __init__(self, mean: float, stderr: float, expected: float, z: float, samples: int):
+        _set(self, "mean", mean)
+        _set(self, "stderr", stderr)
+        _set(self, "expected", expected)
+        _set(self, "z", z)
+        _set(self, "samples", samples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mean, self.stderr, self.expected, self.z, self.samples) == (
+            other.mean, other.stderr, other.expected, other.z, other.samples)
+
+    def __hash__(self) -> int:
+        return hash((self.mean, self.stderr, self.expected, self.z, self.samples))
+
+    def __repr__(self) -> str:
+        return (
+            f"SubseqCountStats(mean={self.mean!r}, stderr={self.stderr!r}, "
+            f"expected={self.expected!r}, z={self.z!r}, samples={self.samples!r})"
+        )
+
+    def __reduce__(self):
+        return self.__class__, (self.mean, self.stderr, self.expected, self.z, self.samples)
 
 
 def _nk_chunk(args) -> list[int]:

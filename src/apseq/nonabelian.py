@@ -7,27 +7,40 @@ ar^2, ...); elementwise inversion exchanges the two notions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded
+from .groups import Frozen
 
 DIHEDRAL_ORDER_CAP = 200
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class DihedralElement:
+
+class DihedralElement(Frozen):
     """rotation^rot * flip^f in the dihedral group of order 2n, where the
     flip conjugates rotations to their inverses."""
 
-    n: int
-    rot: int
-    flip: int
+    __slots__ = ("n", "rot", "flip")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rot: int, flip: int):
+        if n < 1:
             raise ValueError("dihedral index n must be >= 1")
-        object.__setattr__(self, "rot", self.rot % self.n)
-        object.__setattr__(self, "flip", self.flip % 2)
+        _set(self, "n", n)
+        _set(self, "rot", rot % n)
+        _set(self, "flip", flip % 2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.rot, self.flip) == (other.n, other.rot, other.flip)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rot, self.flip))
+
+    def __repr__(self) -> str:
+        return f"DihedralElement(n={self.n!r}, rot={self.rot!r}, flip={self.flip!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.n, self.rot, self.flip)
 
     def __mul__(self, other: "DihedralElement") -> "DihedralElement":
         if not isinstance(other, DihedralElement):
@@ -66,14 +79,27 @@ def _free_reduce(letters) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Frozen):
     """Reduced word over two generators; letters are (generator, +-1)."""
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _free_reduce(self.letters))
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
+        _set(self, "letters", _free_reduce(letters))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return f"FreeWord(letters={self.letters!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.letters,)
 
     @classmethod
     def generator(cls, gen: int, exp: int = 1) -> "FreeWord":

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
 import pathlib
 import subprocess
 import sys
@@ -63,9 +64,20 @@ def test_count_box_k_above_n(capsys):
     code, out, _ = run_main(capsys, "count", "--set", "interval:2,4", "--k", "3")
     assert code == 0
     assert out == "0\n"
-    code, _, err = run_main(capsys, "count", "--set", "interval:2", "--k", "3")
-    assert code == 1
-    assert "k must be in [2, 2]" in err
+    # closed form and brute force print the same count at k = 1 (|A|) and
+    # at k = n + 1 (0) on every family
+    for text, n in [("interval:5", 5), ("interval:2", 2), ("interval:3,2", 3),
+                    ("cyclic:5", 5), ("abelian:2x4", 4), ("elementary:3^2", 3)]:
+        for k in (1, n + 1):
+            printed = [run_main(capsys, "count", "--set", text, "--k", str(k),
+                                "--method", method)[:2] for method in ("closed", "brute")]
+            assert printed[0] == printed[1], (text, k, printed)
+            assert printed[0][0] == 0
+    # bounds keep to k in [2, n]
+    for k in ("1", "6"):
+        code, _, err = run_main(capsys, "count", "--set", "interval:5", "--k", k,
+                                "--method", "bounds")
+        assert code == 1 and "k must be in [2, 5]" in err
 
 
 def test_las_value_sequence(capsys):
@@ -466,6 +478,38 @@ def test_enumerate_runs_only_its_modules():
     ran = _probe_modules("enumerate", "--set", "cyclic:6")["ran"]
     assert ran["enumeration"]
     assert not (ran["montecarlo"] or ran["nonabelian"])
+
+
+# Runs the command lines given as a JSON list, one after another in one
+# interpreter, and reports after each which of the modules that a cold start
+# should not pay for have been imported.  dataclasses pulls in inspect (with
+# ast, dis and tokenize), and typing is slow to import as well.
+_COLD_START_PROBE = """
+import contextlib, io, json, sys
+import apseq.cli
+heavy = ("dataclasses", "inspect", "typing")
+seen = {"import": [m for m in heavy if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert apseq.cli.main(argv) == 0, argv
+    seen[" ".join(argv)] = [m for m in heavy if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_readme_commands_import_no_dataclasses_inspect_or_typing():
+    # -S keeps site (and whatever .pth files it runs) out of the picture
+    readme = [argv for name, argv in sorted(GOLDEN_CASES.items()) if name.startswith("readme_")]
+    assert len(readme) == 8
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_START_PROBE, json.dumps(readme)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == 9
+    assert {argv: mods for argv, mods in seen.items() if mods} == {}
 
 
 @pytest.mark.parametrize("spec, k", [("cyclic:3000", "3"), ("cyclic:1000", "1000")])

@@ -51,9 +51,22 @@ def test_interval_small_cases():
 
 
 def test_interval_domain_errors():
-    for n, k in [(1, 2), (5, 1), (5, 6)]:
+    for n, k in [(0, 2), (5, 0), (5, -1)]:
         with pytest.raises(ValueError):
             count_interval(n, k)
+    # k = 1 counts the singletons and k past the longest line counts nothing,
+    # on the closed route as on brute force, for every family
+    specs = [interval_box(n) for n in range(1, 7)] + [
+        interval_box(2, 3), interval_box(3, 2), interval_box(1, 4),
+        cyclic(1), cyclic(7), abelian(2, 4), elementary(3, 2),
+    ]
+    for spec in specs:
+        for k in (1, spec.radixes[-1] + 1, spec.cardinality + 1):
+            closed = counting.count_for_set(spec, k).exact
+            assert closed == brute_force_count(spec, k).exact, (spec, k)
+            assert closed == (spec.cardinality if k == 1 else 0), (spec, k)
+    assert count_interval(5, 1).exact == 5 and count_interval(5, 6).exact == 0
+    assert count_lattice(3, 1, 2).exact == 9
 
 
 def test_count_lattice_k_above_n_is_zero():
