@@ -29,9 +29,11 @@ class DihedralElement(Frozen):
         _set(self, "flip", flip % 2)
 
     def __eq__(self, other):
+        # field by field, without the tuples: the brute-force counts compare
+        # elements in their innermost loop
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.rot, self.flip) == (other.n, other.rot, other.flip)
+        return self.rot == other.rot and self.flip == other.flip and self.n == other.n
 
     def __hash__(self) -> int:
         return hash((self.n, self.rot, self.flip))
