@@ -122,15 +122,6 @@ def test_value_class_contract(name):
     assert a == b and repr(a) == text
 
 
-def test_spec_derived_fields_survive_pickling_and_stay_out_of_equality():
-    spec = abelian(2, 4)
-    copy = pickle.loads(pickle.dumps(spec))
-    assert (copy.radixes, copy.strides, copy.cardinality, copy.origin) == (
-        (2, 4), (4, 1), 8, 0)
-    assert interval_box(3, 2).origin == 1
-    assert "radixes" not in repr(spec) and "cardinality" not in repr(spec)
-
-
 @pytest.mark.parametrize("make, error, message", [
     (lambda: AdditiveSetSpec("bogus", n=3), ValueError, "unknown family 'bogus'"),
     (lambda: interval_box(0), ValueError, "interval box requires n >= 1 and d >= 1"),
