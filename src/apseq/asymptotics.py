@@ -46,36 +46,6 @@ class ThresholdResult(Frozen):
         _set(self, "residual", residual)
         _set(self, "mode", mode)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.value, self.window, self.family, self.boundary_clamped,
-            self.asymptotic, self.residual, self.mode,
-        ) == (
-            other.value, other.window, other.family, other.boundary_clamped,
-            other.asymptotic, other.residual, other.mode,
-        )
-
-    def __hash__(self) -> int:
-        return hash((
-            self.value, self.window, self.family, self.boundary_clamped,
-            self.asymptotic, self.residual, self.mode,
-        ))
-
-    def __repr__(self) -> str:
-        return (
-            f"ThresholdResult(value={self.value!r}, window={self.window!r}, "
-            f"family={self.family!r}, boundary_clamped={self.boundary_clamped!r}, "
-            f"asymptotic={self.asymptotic!r}, residual={self.residual!r}, mode={self.mode!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (
-            self.value, self.window, self.family, self.boundary_clamped,
-            self.asymptotic, self.residual, self.mode,
-        )
-
 
 @functools.lru_cache(maxsize=1 << 16)
 def log_count(spec: AdditiveSetSpec, k: int) -> float:

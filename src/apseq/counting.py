@@ -52,24 +52,6 @@ class CountResult(Frozen):
         _set(self, "method", method)
         _set(self, "exact", exact)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lower, self.upper, self.method, self.exact) == (
-            other.lower, other.upper, other.method, other.exact)
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper, self.method, self.exact))
-
-    def __repr__(self) -> str:
-        return (
-            f"CountResult(lower={self.lower!r}, upper={self.upper!r}, "
-            f"method={self.method!r}, exact={self.exact!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.lower, self.upper, self.method, self.exact)
-
 
 class APSpec(Frozen):
     """A progression: base point, step, and length."""
@@ -80,20 +62,6 @@ class APSpec(Frozen):
         _set(self, "base", base)
         _set(self, "step", step)
         _set(self, "length", length)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.step, self.length) == (other.base, other.step, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.step, self.length))
-
-    def __repr__(self) -> str:
-        return f"APSpec(base={self.base!r}, step={self.step!r}, length={self.length!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.base, self.step, self.length)
 
 
 def progression_terms(spec: AdditiveSetSpec, ap: APSpec) -> tuple:

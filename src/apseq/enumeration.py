@@ -44,23 +44,6 @@ class DistributionTable(Frozen):
         _set(self, "counts", counts)
         _set(self, "total", total)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.spec, self.counts, self.total) == (other.spec, other.counts, other.total)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.counts, self.total))
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributionTable(spec={self.spec!r}, counts={self.counts!r}, "
-            f"total={self.total!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.spec, self.counts, self.total)
-
     def as_dict(self) -> dict[int, int]:
         return {k: c for k, c in enumerate(self.counts) if k >= 1}
 

@@ -102,9 +102,44 @@ def normalize_invariant_factors(factors) -> tuple[int, ...]:
 class Frozen:
     """Base of apseq's value classes.  Each subclass keeps its fields in
     __slots__ and writes them once, in __init__, with object.__setattr__;
-    any later assignment or deletion raises AttributeError."""
+    any later assignment or deletion raises AttributeError.
+
+    Equality, hash, repr and pickling read the fields named in _fields,
+    which defaults to __slots__ (a class with derived slots lists only its
+    compared fields): two values are equal when their classes are the same
+    and their field tuples are equal, the hash is that of the field tuple,
+    the repr is Name(field=value, ...), and a value pickles as its class
+    called on the field tuple.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        get = operator.attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            one = get
+            get = lambda obj: (one(obj),)
+        # called as self._values(self): staticmethod keeps the lambda from
+        # binding, and an attrgetter, which never binds, reads the same
+        cls._values = staticmethod(get)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._values  # the same for both: the classes are the same
+        return get(self) == get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__name__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -137,6 +172,7 @@ class AdditiveSetSpec(Frozen):
         "family", "n", "d", "p", "factors",
         "radixes", "strides", "cardinality", "origin", "_hash",
     )
+    _fields = ("family", "n", "d", "p", "factors")
 
     def __init__(
         self, family: str, n: int = 0, d: int = 1, p: int = 0, factors: tuple[int, ...] = ()
@@ -193,26 +229,13 @@ class AdditiveSetSpec(Frozen):
         _set(self, "strides", strides[::-1])
         _set(self, "cardinality", cardinality)
         _set(self, "origin", origin)
-        _set(self, "_hash", hash((family, n, d, p, factors)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.n, self.d, self.p, self.factors) == (
-            other.family, other.n, other.d, other.p, other.factors)
+        _set(self, "_hash", Frozen.__hash__(self))
 
     def __hash__(self) -> int:
+        # the hash kept at construction: every lru_cache keyed by a spec
+        # hashes it per call.  A pickled spec is rebuilt by the constructor,
+        # so a kept hash never crosses processes.
         return self._hash
-
-    def __repr__(self) -> str:
-        return (
-            f"AdditiveSetSpec(family={self.family!r}, n={self.n!r}, d={self.d!r}, "
-            f"p={self.p!r}, factors={self.factors!r})"
-        )
-
-    def __reduce__(self):
-        # rebuilt by the constructor: the kept hash is per process
-        return self.__class__, (self.family, self.n, self.d, self.p, self.factors)
 
     @property
     def dimension(self) -> int:

@@ -49,7 +49,10 @@ PAIR_DP_CAP = 5000
 ENGINE_CAP = 5000
 
 
-class Ordering:
+_set = object.__setattr__
+
+
+class Ordering(Frozen):
     """A sequence listing every element of the set exactly once, stored as
     the elements' canonical indices; seq converts them to elements on each
     use."""
@@ -65,8 +68,8 @@ class Ordering:
         indices = tuple(groups.canonical_index(spec, x) for x in seq)
         if len(set(indices)) != len(indices):
             raise ValueError("ordering repeats an element")
-        self.spec = spec
-        self.indices = indices
+        _set(self, "spec", spec)
+        _set(self, "indices", indices)
 
     @classmethod
     def from_indices(cls, spec: AdditiveSetSpec, indices) -> "Ordering":
@@ -80,8 +83,8 @@ class Ordering:
         if len(set(indices)) != card:
             raise ValueError("ordering repeats an element")
         ordering = cls.__new__(cls)
-        ordering.spec = spec
-        ordering.indices = indices
+        _set(ordering, "spec", spec)
+        _set(ordering, "indices", indices)
         return ordering
 
     @property
@@ -98,21 +101,14 @@ class Ordering:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Ordering)
-            and self.spec == other.spec
-            and self.indices == other.indices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.indices))
-
     def __repr__(self) -> str:
+        # the set by its spec string and the indices as a list, shorter
+        # than the field-by-field form
         return f"Ordering({self.spec}, {list(self.indices)})"
 
-
-_set = object.__setattr__
+    def __reduce__(self):
+        # rebuilt from the indices: the constructor takes elements
+        return Ordering.from_indices, (self.spec, self.indices)
 
 
 class LasResult(Frozen):
@@ -131,24 +127,6 @@ class LasResult(Frozen):
         _set(self, "base", base)
         _set(self, "step", step)
         _set(self, "indices", indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.length, self.base, self.step, self.indices) == (
-            other.length, other.base, other.step, other.indices)
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.base, self.step, self.indices))
-
-    def __repr__(self) -> str:
-        return (
-            f"LasResult(length={self.length!r}, base={self.base!r}, "
-            f"step={self.step!r}, indices={self.indices!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.length, self.base, self.step, self.indices)
 
 
 def _singleton_result() -> LasResult:

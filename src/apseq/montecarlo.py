@@ -127,24 +127,6 @@ class ExperimentConfig(Frozen):
         _set(self, "seed", seed)
         _set(self, "k", k)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.spec, self.samples, self.seed, self.k) == (
-            other.spec, other.samples, other.seed, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.samples, self.seed, self.k))
-
-    def __repr__(self) -> str:
-        return (
-            f"ExperimentConfig(spec={self.spec!r}, samples={self.samples!r}, "
-            f"seed={self.seed!r}, k={self.k!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.spec, self.samples, self.seed, self.k)
-
 
 class SubseqCountStats(Frozen):
     """Sample statistics of the k-progression subsequence count."""
@@ -157,24 +139,6 @@ class SubseqCountStats(Frozen):
         _set(self, "expected", expected)
         _set(self, "z", z)
         _set(self, "samples", samples)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mean, self.stderr, self.expected, self.z, self.samples) == (
-            other.mean, other.stderr, other.expected, other.z, other.samples)
-
-    def __hash__(self) -> int:
-        return hash((self.mean, self.stderr, self.expected, self.z, self.samples))
-
-    def __repr__(self) -> str:
-        return (
-            f"SubseqCountStats(mean={self.mean!r}, stderr={self.stderr!r}, "
-            f"expected={self.expected!r}, z={self.z!r}, samples={self.samples!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, (self.mean, self.stderr, self.expected, self.z, self.samples)
 
 
 def _nk_chunk(args) -> list[int]:

@@ -35,14 +35,8 @@ class DihedralElement(Frozen):
             return NotImplemented
         return self.rot == other.rot and self.flip == other.flip and self.n == other.n
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.rot, self.flip))
-
-    def __repr__(self) -> str:
-        return f"DihedralElement(n={self.n!r}, rot={self.rot!r}, flip={self.flip!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.n, self.rot, self.flip)
+    # a class that defines __eq__ gets __hash__ = None unless it names one
+    __hash__ = Frozen.__hash__
 
     def __mul__(self, other: "DihedralElement") -> "DihedralElement":
         if not isinstance(other, DihedralElement):
@@ -88,20 +82,6 @@ class FreeWord(Frozen):
 
     def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
         _set(self, "letters", _free_reduce(letters))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
-    def __repr__(self) -> str:
-        return f"FreeWord(letters={self.letters!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.letters,)
 
     @classmethod
     def generator(cls, gen: int, exp: int = 1) -> "FreeWord":

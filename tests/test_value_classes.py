@@ -1,19 +1,23 @@
-"""The package's ten value classes: pinned repr text, equality and hash over
-the compared fields only, pickling, read-only fields and constructor checks.
+"""The package's eleven value classes: pinned repr text, equality and hash
+over the compared fields only, pickling, read-only fields and constructor
+checks.
 
 The repr strings and error messages are those of the frozen dataclasses
 these classes replaced, so callers see no change."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import apseq
 from apseq.asymptotics import ThresholdResult
 from apseq.counting import APSpec, CountResult
 from apseq.enumeration import DistributionTable
 from apseq.errors import CapExceeded
-from apseq.groups import AdditiveSetSpec, abelian, cyclic, elementary, interval_box
-from apseq.las import LasResult
+from apseq.groups import AdditiveSetSpec, Frozen, abelian, cyclic, elementary, interval_box
+from apseq.las import LasResult, Ordering
 from apseq.montecarlo import SAMPLE_CAP, ExperimentConfig, SubseqCountStats
 from apseq.nonabelian import DihedralElement, FreeWord
 
@@ -82,6 +86,12 @@ CASES = {
         (5, 2, 1),
         lambda: DihedralElement(5, 2, 0),
     ),
+    "Ordering": (
+        lambda: Ordering.from_indices(cyclic(3), [2, 0, 1]),
+        "Ordering(cyclic:3, [2, 0, 1])",
+        (cyclic(3), (2, 0, 1)),
+        lambda: Ordering(cyclic(3), [(0,), (2,), (1,)]),
+    ),
     "FreeWord": (
         lambda: FreeWord(((1, 1), (1, -1), (2, 1))),
         "FreeWord(letters=((2, 1),))",
@@ -89,6 +99,20 @@ CASES = {
         lambda: FreeWord(((2, -1),)),
     ),
 }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cases_cover_every_value_class():
+    for info in pkgutil.iter_modules(apseq.__path__):
+        # reading an attribute runs a lazily registered module
+        importlib.import_module(f"apseq.{info.name}").__name__
+    cased = {type(make()) for make, *_rest in CASES.values()}
+    assert set(_subclasses(Frozen)) == cased
 
 
 def _field_names(obj):
