@@ -46,6 +46,16 @@ def _parallel_workers(text: str) -> int:
     return int(text)
 
 
+def _write_csv(path: str, text: str) -> None:
+    """Write text to the --csv path; a path that cannot be written is a
+    usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _envelope(command: str, params: dict, result, seed=None) -> dict:
     doc = {
         "command": command,
@@ -184,9 +194,7 @@ def _cmd_enumerate(args) -> int:
     params = {"set": str(spec), "symmetry": bool(args.symmetry)}
     if args.csv:
         card = spec.cardinality
-        csv_text = _distribution_csv([(card, table.row())], card)
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        _write_csv(args.csv, _distribution_csv([(card, table.row())], card))
         print(f"wrote {args.csv}", file=sys.stderr)
     if args.json:
         _emit_json(_envelope("enumerate", params, result))
@@ -257,15 +265,16 @@ def _cmd_simulate(args) -> int:
     if args.csv_out:
         import csv
 
-        with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if mode == "histogram":
-                writer.writerow(["L", "fraction"])
-                for k, v in result["histogram"].items():
-                    writer.writerow([k, v])
-            else:
-                writer.writerow(sorted(result))
-                writer.writerow([result[key] for key in sorted(result)])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        if mode == "histogram":
+            writer.writerow(["L", "fraction"])
+            for k, v in result["histogram"].items():
+                writer.writerow([k, v])
+        else:
+            writer.writerow(sorted(result))
+            writer.writerow([result[key] for key in sorted(result)])
+        _write_csv(args.csv_out, buf.getvalue())
         print(f"wrote {args.csv_out}", file=sys.stderr)
     if args.json:
         _emit_json(_envelope("simulate", params, result, seed=args.seed))
@@ -356,10 +365,9 @@ def _cmd_tables(args) -> int:
         if padded[: len(want)] != want:
             mismatches.append((n, f"got {row}, want nonzero prefix of {want}"))
     text = _distribution_csv(rows, args.max_n)
-    sys.stdout.write(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_csv(args.csv, text)
+    sys.stdout.write(text)
     for n, msg in mismatches:
         print(f"row {n}: {msg}", file=sys.stderr)
     if mismatches:
@@ -440,17 +448,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, what, text = 1, "usage error", str(exc)
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
+        code, what, text = 2, "cap exceeded", str(exc)
     except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        code, what, text = 3, "internal error", str(exc)
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, what, text = 3, "internal error", f"{type(exc).__name__}: {exc}"
+    # a message may echo an input: a long one keeps its head and its length
+    if len(text) > 150:
+        text = f"{text[:100]}... ({len(text)} characters)"
+    print(f"{what}: {text}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ length as scans reach them: a random ordering of a large set has a short
 longest progression, so its scan never needs most of the short lines.
 length_of_indices probes only every best-th comparison of a line (below
 m + best - 1 on a cycle of length m) and extends each probe both ways;
-witness then lists the runs of that many terms and returns the smallest
+witness runs the same scan again with best fixed one below the length,
+collecting the runs of that many terms, and returns the smallest
 (base index, step).  longest_ap_orbitwalk is that witness for groups.
 
 The pair DP keys chains of index pairs by their common difference, read for
@@ -431,7 +432,7 @@ def count_k_subsequences(ordering: Ordering, k: int) -> int:
     return count_in_order(progs, ordering.indices)
 
 
-def _longest_run(lines, pos: Sequence[int], best: int) -> int:
+def _longest_run(lines, pos: Sequence[int], best: int, hits=None) -> int:
     """Most terms of a monotone run of positions along any line, or best if
     none is longer.
 
@@ -442,6 +443,11 @@ def _longest_run(lines, pos: Sequence[int], best: int) -> int:
     direction, so only every best-th comparison is probed; each probe is
     extended both ways while the direction holds, and the scan resumes
     best - 1 comparisons past the run's end.
+
+    Given a list hits, best stays fixed and every run of more than best
+    terms is appended to it as (line, lo, hi), its terms being
+    line[lo : hi + 1].  Probes still stop at comparison m + best - 1: a run
+    that starts past m on a doubled walk repeats one that starts below m.
     """
     for m, line in lines:
         if m <= best:
@@ -481,48 +487,15 @@ def _longest_run(lines, pos: Sequence[int], best: int) -> int:
                     a = c
                     lo -= 1
             if hi - lo >= best:
-                best = hi - lo + 1
-                if m <= best:
-                    break
-                stop = last if last < m else m + best - 1
+                if hits is not None:
+                    hits.append((line, lo, hi))
+                else:
+                    best = hi - lo + 1
+                    if m <= best:
+                        break
+                    stop = last if last < m else m + best - 1
             t = hi + best - 1
     return best
-
-
-def _monotone_runs(line, pos: Sequence[int], size: int):
-    """(lo, hi, rising) for every run of exactly size >= 3 terms along the
-    line whose positions rise or fall, given that no run is longer.
-
-    A run of size terms is size - 1 consecutive comparisons in one
-    direction, so probes size - 1 comparisons apart meet every such run.
-    Each probe is extended both ways while the direction holds, and the next
-    probe is the last comparison of a run that starts where this one ends.
-    """
-    last = len(line) - 1
-    t = size - 2  # comparison t joins terms t and t + 1
-    while t < last:
-        lo = t
-        hi = t + 1
-        a = pos[line[lo]]
-        b = pos[line[hi]]
-        rising = a < b
-        if rising:
-            while hi < last and pos[line[hi + 1]] > b:
-                hi += 1
-                b = pos[line[hi]]
-            while lo and pos[line[lo - 1]] < a:
-                lo -= 1
-                a = pos[line[lo]]
-        else:
-            while hi < last and pos[line[hi + 1]] < b:
-                hi += 1
-                b = pos[line[hi]]
-            while lo and pos[line[lo - 1]] > a:
-                lo -= 1
-                a = pos[line[lo]]
-        if hi - lo + 1 == size:
-            yield lo, hi, rising
-        t = hi + size - 2
 
 
 class _LineBands:
@@ -609,12 +582,14 @@ class _LineBands:
         compared as coordinate tuples (for a group, in the order of their
         canonical indices).
 
-        A rising run along a line with step v is the progression with step
-        v from the run's first term; a falling run is the one with step -v
-        from the run's last term.  Each line's step is the difference of
-        its first two terms, decoded and subtracted by groups.  Length 2
-        needs no lines: the smallest base is the smallest index not listed
-        last, paired with the smallest step to an element listed after it.
+        The runs of best terms come from a second pass of _longest_run
+        with best - 1 fixed.  A rising run along a line with step v is the
+        progression with step v from the run's first term; a falling run is
+        the one with step -v from the run's last term.  A line's step is
+        the difference of its first two terms, decoded and subtracted by
+        groups.  Length 2 needs no lines: the smallest base is the smallest
+        index not listed last, paired with the smallest step to an element
+        listed after it.
         """
         spec = self.spec
         if self.card == 1:
@@ -632,26 +607,22 @@ class _LineBands:
             return LasResult(2, x, step, (pos[base], pos[last]))
         while self._reach >= best:  # lines of exactly best terms hold witnesses
             self._grow()
-        best_key = None
-        for m, line in self._built:
-            if m < best:
-                break
-            steps = None
-            for lo, hi, rising in _monotone_runs(line, pos, best):
-                base = line[lo] if rising else line[hi]
-                if best_key is not None and base > best_key[0]:
-                    continue
-                if steps is None:
-                    x, y = at(line[0]), at(line[1])
-                    steps = (add(y, x, -1), add(x, y, -1))
-                key = (base, steps[0] if rising else steps[1])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    terms = line[lo : hi + 1]
-        if best_key is None:
+        hits: list = []
+        _longest_run(self._built, pos, best - 1, hits)
+        if not hits:
             raise InternalInvariantError(f"no run of {best} terms found on a line")
+        key = None
+        for line, lo, hi in hits:
+            rising = pos[line[lo]] < pos[line[hi]]
+            base = line[lo] if rising else line[hi]
+            if key is not None and base > key[0]:
+                continue
+            x, y = at(line[0]), at(line[1])
+            run_key = (base, add(y, x, -1) if rising else add(x, y, -1))
+            if key is None or run_key < key:
+                key, terms = run_key, line[lo : hi + 1]
         indices = tuple(sorted(map(pos.__getitem__, terms)))
-        return LasResult(best, at(best_key[0]), best_key[1], indices)
+        return LasResult(best, at(key[0]), key[1], indices)
 
 
 @functools.lru_cache(maxsize=None)

@@ -262,6 +262,26 @@ def test_long_malformed_spec_message_is_short():
     assert len(proc.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["las", "--set", "cyclic:3", "--sequence", "0,1," + "9" * 4000],
+        ["las", "--set", "interval:3", "--coords", "1;2;" + "9" * 4000],
+        ["las", "--set", "interval:3", "--coords", "1;2;3," + "9" * 4000],
+        ["simulate", "--set", "cyclic:5", "--samples", "1", "--seed", "9" * 4000],
+        ["tables", "--family", "cyclic", "--max-n", "x" * 5000],
+    ],
+    ids=["index", "coordinate", "element-length", "seed", "argparse"],
+)
+def test_long_echoed_input_is_clipped(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert "characters)" in err
+    assert len(err.encode()) < 200
+
+
 def test_brute_count_above_pair_budget_exit_code(capsys):
     code, out, err = run_main(capsys, "count", "--set", "interval:50,3", "--k", "3",
                               "--method", "brute")

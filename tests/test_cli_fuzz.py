@@ -4,12 +4,17 @@ succeeds or fails with a usage (1) or cap (2) exit, never an internal error
 
 The sets have at most 10 elements, and some are invalid (cyclic:0, a
 non-chain abelian group, a composite elementary prime); k, samples and seeds
-range over invalid and huge values too.  --parallel, --csv and --cache are
-left out: they start processes or write files."""
+range over invalid and huge values too; tables runs on --max-n -1..6.
+enumerate, simulate and tables may write --csv to a file in a fresh
+temporary directory, to a path under a missing directory, or to the
+directory itself.  --parallel and --cache are left out: they start processes
+or keep files across runs."""
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -34,6 +39,9 @@ INVALID_SETS = [
 SIZES = {text: parse_set_spec(text).cardinality for text in VALID_SETS}
 assert max(SIZES.values()) == 10
 
+# --csv targets, relative to a fresh temporary directory ("." is the directory)
+CSV_PATHS = ["out.csv", os.path.join("missing", "out.csv"), "."]
+
 # mostly k in the range a small set admits, then the invalid and huge ones
 K = st.one_of(st.integers(2, 10), st.sampled_from([-1, 0, 1, 11, 12, 10**9]))
 
@@ -41,10 +49,13 @@ K = st.one_of(st.integers(2, 10), st.sampled_from([-1, 0, 1, 11, 12, 10**9]))
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(
-        ["count", "las", "enumerate", "predict", "simulate", "nonabelian"]))
+        ["count", "las", "enumerate", "predict", "simulate", "nonabelian", "tables"]))
     if command == "nonabelian":
         argv = ["nonabelian", "--group", f"dihedral:{draw(st.integers(-1, 5))}",
                 "--k", str(draw(K))]
+    elif command == "tables":
+        argv = ["tables", "--family", draw(st.sampled_from(["interval", "cyclic"])),
+                "--max-n", str(draw(st.integers(-1, 6)))]
     else:
         text = draw(st.sampled_from(VALID_SETS + INVALID_SETS))
         argv = [command, "--set", text]
@@ -61,7 +72,7 @@ def argvs(draw):
                  "--algorithm", draw(st.sampled_from(["auto", "orbit", "pairdp"]))]
         if draw(st.booleans()):
             argv.append("--witness")
-    elif command == "enumerate":
+    elif command in ("enumerate", "tables"):
         if draw(st.booleans()):
             argv.append("--symmetry")
     elif command == "predict":
@@ -75,7 +86,9 @@ def argvs(draw):
             argv += ["--k", str(draw(K))]
         elif mode:
             argv.append(mode)
-    if draw(st.booleans()):
+    if command in ("enumerate", "simulate", "tables") and draw(st.booleans()):
+        argv += ["--csv", draw(st.sampled_from(CSV_PATHS))]
+    if command != "tables" and draw(st.booleans()):
         argv.append("--json")
     return argv
 
@@ -84,8 +97,12 @@ def argvs(draw):
 @given(argvs())
 def test_generated_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--csv" in argv:
+            at = argv.index("--csv") + 1
+            argv = argv[:at] + [os.path.join(tmp, argv[at])] + argv[at + 1:]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
     assert "internal error" not in err.getvalue(), argv

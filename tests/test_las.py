@@ -227,6 +227,11 @@ def test_witnesses_agree_between_algorithms():
         for perm in itertools.permutations(range(spec.cardinality)):
             o = _ordering(spec, perm)
             assert longest_ap_orbitwalk(o) == longest_ap_pairdp(o), (spec, perm)
+    # boxes: the engine's tie-break among runs of one line and between lines
+    for spec in [interval_box(n) for n in range(1, 8)] + [interval_box(2, 2)]:
+        engine = length_engine(spec)
+        for perm in itertools.permutations(range(spec.cardinality)):
+            assert engine.witness(perm) == longest_ap_pairdp(_ordering(spec, perm)), (spec, perm)
     rnd = random.Random(99)
     seeded = [cyclic(10), abelian(2, 6), abelian(2, 4), abelian(2, 2, 2), cyclic(8),
               cyclic(60), abelian(2, 6, 12)]
