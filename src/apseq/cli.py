@@ -46,6 +46,15 @@ def _parallel_workers(text: str) -> int:
     return int(text)
 
 
+def _check_csv(path: str | None) -> None:
+    """Refuse, before any work, a --csv path that names a directory or lies
+    in a missing one; the file is neither opened nor truncated here."""
+    if path and os.path.isdir(path):
+        raise _UsageError(f"cannot write {path}: Is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise _UsageError(f"cannot write {path}: No such file or directory")
+
+
 def _write_csv(path: str, text: str) -> None:
     """Write text to the --csv path; a path that cannot be written is a
     usage error."""
@@ -189,6 +198,7 @@ def _distribution_payload(spec: AdditiveSetSpec, table) -> dict:
 
 def _cmd_enumerate(args) -> int:
     spec = parse_set_spec(args.set)
+    _check_csv(args.csv)
     table = _distribution(spec, args)
     result = _distribution_payload(spec, table)
     params = {"set": str(spec), "symmetry": bool(args.symmetry)}
@@ -233,6 +243,7 @@ def _cmd_simulate(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
+    _check_csv(args.csv_out)
     if args.k is not None:
         params["k"] = args.k
         stats = montecarlo.estimate_Nk_mean(config, parallel=args.parallel)
@@ -349,6 +360,7 @@ def _distribution_csv(rows: list[tuple[int, list[int]]], max_k: int) -> str:
 def _cmd_tables(args) -> int:
     if args.max_n < 0:
         raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
+    _check_csv(args.csv)
     family = args.family
     golden = _golden_rows(family)
     rows = []

@@ -1,20 +1,17 @@
 """Longest arithmetic subsequence of an ordering, by two independent
 algorithms, plus exact counting of k-term progression subsequences.
 
-Both algorithms take an ordering as canonical indices.  The walk engine of
-a set (length_engine) serves every ordering of one spec, for groups and
-interval boxes alike.  It keeps one step v of each pair {v, -v} and stores
-the lines of x -> x + v: the cycles of a group (listed once per cyclic
-subgroup from the smallest member of each coset), the maximal paths inside
-a box.  A rising run of positions along a line is a progression with step
-v, a falling run one with step -v.  Lines are built in bands of falling
-length as scans reach them: a random ordering of a large set has a short
-longest progression, so its scan never needs most of the short lines.
-length_of_indices probes only every best-th comparison of a line (below
-m + best - 1 on a cycle of length m) and extends each probe both ways;
-witness runs the same scan again with best fixed one below the length,
-collecting the runs of that many terms, and returns the smallest
-(base index, step).  longest_ap_orbitwalk is that witness for groups.
+Both algorithms take an ordering as canonical indices.  The length engine
+of a set (length_engine) serves every ordering of one spec, for groups and
+interval boxes alike.  It keeps one step w of each pair {w, -w} and scans
+in bit lanes over the set's elements: one int compares the position of
+every x with that of x + w, and ANDs of its shifted copies mark the runs
+in order along x, x + w, ...  A rising run is a progression with step w, a
+falling run one with step -w.  length_of_indices gives the longest length,
+witness the smallest (base index, step) of that length, and
+longest_ap_orbitwalk is that witness for groups.  The engine's lines, the
+cycles of a group and the maximal paths inside a box, serve exhaustive
+enumeration only.
 
 The pair DP keys chains of index pairs by their common difference, read for
 each position from a row of differences over all canonical indices; it
@@ -42,11 +39,10 @@ from .errors import CapExceeded, InternalInvariantError
 from .groups import INTERVAL, AdditiveSetSpec, Frozen
 
 PAIR_DP_CAP = 5000
-# Built in full, a group engine stores about |A|^2 line entries, its walks
-# being doubled (cyclic:5000: 24,967,500); a box stores fewer (interval:1000:
-# 416,166; interval:5000: 10,414,166).  A scan builds only the bands it
-# reaches: after one random ordering, interval:1000 holds 124,000 entries and
-# interval:5000 2,495,000.
+# A scan keeps one 16-bit lane per element, positions staying below its
+# guard bit.  Lines, built only when asked for, hold about |A|^2 entries in a
+# group (cyclic:5000: 24,967,500) and fewer in a box (interval:5000:
+# 10,414,166).
 ENGINE_CAP = 5000
 
 
@@ -136,8 +132,7 @@ def _singleton_result() -> LasResult:
 
 def step_cycles(spec: AdditiveSetSpec, step_idx: int) -> list[list[int]]:
     """Cycles of x -> x + step over canonical indices, for a group family,
-    walked node by node: the reference the group engine's lines are
-    checked against."""
+    walked node by node; the group engine's lines are these cycles."""
     r = groups.element_at(spec, step_idx)
     succ = counting._succ_table(spec, r)
     card = spec.cardinality
@@ -158,7 +153,7 @@ def step_cycles(spec: AdditiveSetSpec, step_idx: int) -> list[list[int]]:
 
 def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
     """Longest progression subsequence of an ordering of a group, with the
-    witness of the group's walk engine.
+    witness of the group's length engine.
 
     Among equal-length witnesses, the smallest (base index, step index)
     wins.  Raises CapExceeded above ENGINE_CAP elements.
@@ -169,10 +164,10 @@ def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
     return _last_engine(spec).witness(ordering.indices)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=32)
 def _last_engine(spec: AdditiveSetSpec):
-    """The walk engine of the last set the orbit walk saw.  One at most: an
-    engine at ENGINE_CAP holds hundreds of MB."""
+    """The length engines of the last 32 sets the orbit walk saw.  An engine
+    that only scans keeps its steps and at most _MASKS_KEPT masks, no lines."""
     return length_engine(spec)
 
 
@@ -432,143 +427,129 @@ def count_k_subsequences(ordering: Ordering, k: int) -> int:
     return count_in_order(progs, ordering.indices)
 
 
-def _longest_run(lines, pos: Sequence[int], best: int, hits=None) -> int:
-    """Most terms of a monotone run of positions along any line, or best if
-    none is longer.
-
-    lines holds (m, line) pairs sorted by m, longest first: line lists
-    canonical indices along x -> x + v, and m bounds the terms of any run in
-    it.  A rising run is a progression with step v, a falling run one with
-    step -v.  A run of best + 1 terms is best consecutive comparisons in one
-    direction, so only every best-th comparison is probed; each probe is
-    extended both ways while the direction holds, and the scan resumes
-    best - 1 comparisons past the run's end.
-
-    Given a list hits, best stays fixed and every run of more than best
-    terms is appended to it as (line, lo, hi), its terms being
-    line[lo : hi + 1].  Probes still stop at comparison m + best - 1: a run
-    that starts past m on a doubled walk repeats one that starts below m.
-    """
-    for m, line in lines:
-        if m <= best:
-            break
-        last = len(line) - 1
-        stop = last if last < m else m + best - 1  # runs start below m
-        t = best - 1  # comparison t joins terms t and t + 1
-        while t < stop:
-            lo = t
-            hi = t + 1
-            a = pos[line[lo]]
-            b = pos[line[hi]]
-            if a < b:
-                while hi < last:
-                    c = pos[line[hi + 1]]
-                    if c < b:
-                        break
-                    b = c
-                    hi += 1
-                while lo:
-                    c = pos[line[lo - 1]]
-                    if c > a:
-                        break
-                    a = c
-                    lo -= 1
-            else:
-                while hi < last:
-                    c = pos[line[hi + 1]]
-                    if c > b:
-                        break
-                    b = c
-                    hi += 1
-                while lo:
-                    c = pos[line[lo - 1]]
-                    if c < a:
-                        break
-                    a = c
-                    lo -= 1
-            if hi - lo >= best:
-                if hits is not None:
-                    hits.append((line, lo, hi))
-                else:
-                    best = hi - lo + 1
-                    if m <= best:
-                        break
-                    stop = last if last < m else m + best - 1
-            t = hi + best - 1
-    return best
+# A lane's guard bit leaves 0x80 or 0 in its high byte: read as a binary digit
+_GUARD_DIGIT = bytes.maketrans(b"\x00\x80", b"01")
+# Masks an engine keeps between scans (at most 2.5 MB of them at ENGINE_CAP);
+# it builds any others each time.
+_MASKS_KEPT = 256
 
 
-class _LineBands:
-    """Lines of a walk engine, built in bands as scans reach them.
+class _LaneEngine:
+    """Set-up, lane scan and witness shared by both length engines.
 
-    A band holds the lines of every box step or group subgroup that shares
-    one bound on its lines' terms (1 + (n - 1) // max|v_i| for a box step
-    v, the order of a subgroup); bands are built in falling order of bound.
-    _built lists, longest first, the built lines with more terms than
-    _reach, the bound of the next unbuilt band (0 once every band is
-    built).  A built line of at most _reach terms waits in _held, by its
-    term count, until no unbuilt line can be longer.  So a scan that has
-    found a run of best terms builds the next band only while _reach >
-    best, and a witness of best terms also while _reach == best.
+    Each engine lists its (bound, step or subgroup) pairs as todo, bound
+    capping the terms of a progression along the step; its _steps_of turns
+    an item into lane steps (w, -w, how to shift by w).  A scan puts the
+    position of element x in 16-bit lane x of one int, with guard bit
+    G = 0x8000 free as in count_in_orders.  For each step, _ones shifts the
+    int so that lane x holds lane x + w, and _compare reads one bit per
+    element, set where x + w comes later; the bits where x + w is in the set
+    but earlier are their complement.  Both are packed as one int, rising
+    bits from bit 0 and falling ones from bit 2|A|, which _shift moves by a
+    multiple of w.  The AND of the bits shifted by 0, w, ..., (c - 1)w marks
+    the runs of c + 1 terms.
 
-    The constructor is the set-up both engines share: each engine lists its
-    (bound, step or subgroup) pairs as todo, and its _band(bound, items)
-    returns the (m, line) pairs of the items of one bound.  Lines are
-    slices of, or picks from, one tuple of canonical indices, so they share
-    its int objects, and as tuples the cyclic garbage collector stops
-    tracking them; _pos is the position buffer of length_of_indices.
+    Lines serve enumeration only: lines walks them all on first use, each
+    engine's _lines_of(w) giving the (m, line) pairs of one step.
     """
 
     def __init__(self, spec: AdditiveSetSpec, todo: list):
         self.spec = spec
         self.card = card = spec.cardinality
-        self._ids = tuple(range(card))
         self._pos = [0] * card
         todo.sort(key=itemgetter(0))
         self._todo = todo
-        self._held: dict[int, list] = {}
-        self._built: list = []
-        self._reach = todo[-1][0] if todo else 0
+        self._steps = None
+        self._masks: dict = {}
 
-    def _grow(self):
-        """Build the next band and return an iterator over the lines it
-        adds to _built, longest first."""
-        todo, held, built = self._todo, self._held, self._built
-        bound = todo[-1][0]
-        items = []
-        while todo and todo[-1][0] == bound:
-            items.append(todo.pop()[1])
-        fresh = self._band(bound, items)
-        fresh.sort(key=itemgetter(0), reverse=True)
-        for m, run in itertools.groupby(fresh, itemgetter(0)):
-            held.setdefault(m, []).extend(run)
-        del fresh  # held has the lines: free this copy before built grows
-        reach = self._reach = todo[-1][0] if todo else 0
-        start = len(built)
-        for m in sorted([m for m in held if m > reach], reverse=True):
-            built += held.pop(m)
-        return itertools.islice(built, start, None)
-
-    @property
+    @functools.cached_property
     def lines(self) -> list:
-        """Every line as an (m, line) pair, longest first, building the
-        bands not built yet."""
-        while self._reach:
-            self._grow()
-        return self._built
+        """Every line as an (m, line) pair, longest first: line lists the
+        canonical indices x, x + w, ... of one lane step w, and m bounds the
+        terms of a run in it."""
+        lines = [line for _, step in self._lane_steps() for line in self._lines_of(step[0])]
+        lines.sort(key=itemgetter(0), reverse=True)
+        return lines
 
-    def _scan(self, pos: Sequence[int]) -> int:
-        """Longest progression length of the ordering with pos[canonical
-        index] = position, building bands while an unbuilt line could hold
-        a longer run."""
-        if self.card == 1:
-            return 1
-        best = _longest_run(self._built, pos, 2)
-        while self._reach > best:
-            best = _longest_run(self._grow(), pos, best)
-        return best
+    def _lane_steps(self) -> list:
+        """(bound, step) pairs, the bound falling, derived on first use so
+        that constructing an engine costs what listing todo costs."""
+        if self._steps is None:
+            card = self.card
+            self._guard = int.from_bytes(b"\0\x80" * card, "little")
+            self._all = (1 << card) - 1
+            self._halves = self._all | self._all << 2 * card
+            self._steps = [(bound, step) for bound, item in reversed(self._todo)
+                           for step in self._steps_of(bound, item)]
+        return self._steps
 
-    length_of_positions = _scan
+    def _mask(self, key, build) -> int:
+        got = self._masks.get(key)
+        if got is None:
+            got = build(key)
+            if len(self._masks) < _MASKS_KEPT:
+                self._masks[key] = got
+        return got
+
+    def _lanes(self, pos: Sequence[int]) -> int:
+        from array import array  # only here: importing it slows every CLI start
+
+        return int.from_bytes(array("H", pos), sys.byteorder)
+
+    def _compare(self, shifted: int, lanes: int) -> int:
+        high = (((shifted | self._guard) - lanes) & self._guard).to_bytes(2 * self.card, "big")
+        return int(high[::2].translate(_GUARD_DIGIT), 2)
+
+    def _run(self, step, ones: int, count: int) -> int:
+        """The bits of ones from which count comparisons hold in a row,
+        built by doubling; 0 as soon as none does."""
+        run, have = ones, 1
+        for bit in bin(count)[3:]:
+            run &= self._shift(step, run, have)
+            have *= 2
+            if bit == "1" and run:
+                run &= self._shift(step, ones, have)
+                have += 1
+            if not run:
+                break
+        return run
+
+    def _scan(self, pos: Sequence[int], ties: bool = False) -> tuple:
+        """The longest progression length of the ordering with
+        pos[canonical index] = position and, given ties, the smallest
+        (base index, step) among the progressions of that length.
+
+        Steps are scanned in falling order of bound while the bound is above
+        the best length, or, given ties, not below it.  The lowest rising
+        bit of a step's longest runs is its smallest base with step w; the
+        falling bits, shifted back by the run's length, are the bases with
+        step -w.
+        """
+        steps = self._lane_steps()
+        lanes = self._lanes(pos)
+        best, key = 2, None
+        for bound, step in steps:
+            if bound < best + (not ties):
+                break
+            ones = self._ones(step, lanes)
+            length = best + (not ties)
+            run = self._run(step, ones, length - 1)
+            if not run:
+                continue
+            while length < bound and (longer := run & self._shift(step, ones, length - 1)):
+                run, length = longer, length + 1
+            if length > best:
+                best, key = length, None
+            if ties:
+                falling = self._shift(step, run >> 2 * self.card, 1 - best)
+                for bits, w in ((run & self._all, step[0]), (falling, step[1])):
+                    lowest = ((bits & -bits).bit_length() - 1, w)
+                    if bits and (key is None or lowest < key):
+                        key = lowest
+        return best, key
+
+    def length_of_positions(self, pos: Sequence[int]) -> int:
+        return self._scan(pos)[0] if self.card > 1 else 1
 
     def length_of_indices(self, idx_seq: Sequence[int]) -> int:
         pos = self._pos
@@ -580,16 +561,9 @@ class _LineBands:
         """Longest progression of the ordering idx_seq with its witness:
         among equal lengths the smallest (base index, step) wins, steps
         compared as coordinate tuples (for a group, in the order of their
-        canonical indices).
-
-        The runs of best terms come from a second pass of _longest_run
-        with best - 1 fixed.  A rising run along a line with step v is the
-        progression with step v from the run's first term; a falling run is
-        the one with step -v from the run's last term.  A line's step is
-        the difference of its first two terms, decoded and subtracted by
-        groups.  Length 2 needs no lines: the smallest base is the smallest
-        index not listed last, paired with the smallest step to an element
-        listed after it.
+        canonical indices).  Length 2 needs no scan: the smallest base is
+        the smallest index not listed last, paired with the smallest step to
+        an element listed after it.
         """
         spec = self.spec
         if self.card == 1:
@@ -597,7 +571,7 @@ class _LineBands:
         pos = self._pos
         for where, idx in enumerate(idx_seq):
             pos[idx] = where
-        best = self._scan(pos)
+        best, key = self._scan(pos, ties=True)
         at = functools.partial(groups.element_at, spec)
         add = functools.partial(groups.add, spec)
         if best == 2:
@@ -605,24 +579,13 @@ class _LineBands:
             x = at(base)
             step, last = min((add(at(y), x, -1), y) for y in idx_seq[pos[base] + 1 :])
             return LasResult(2, x, step, (pos[base], pos[last]))
-        while self._reach >= best:  # lines of exactly best terms hold witnesses
-            self._grow()
-        hits: list = []
-        _longest_run(self._built, pos, best - 1, hits)
-        if not hits:
-            raise InternalInvariantError(f"no run of {best} terms found on a line")
-        key = None
-        for line, lo, hi in hits:
-            rising = pos[line[lo]] < pos[line[hi]]
-            base = line[lo] if rising else line[hi]
-            if key is not None and base > key[0]:
-                continue
-            x, y = at(line[0]), at(line[1])
-            run_key = (base, add(y, x, -1) if rising else add(x, y, -1))
-            if key is None or run_key < key:
-                key, terms = run_key, line[lo : hi + 1]
-        indices = tuple(sorted(map(pos.__getitem__, terms)))
-        return LasResult(best, at(key[0]), key[1], indices)
+        base, step = at(key[0]), key[1]
+        indices = tuple(
+            pos[groups.canonical_index(spec, add(base, step, t))] for t in range(best)
+        )
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise InternalInvariantError(f"witness {base} + t * {step} is out of order")
+        return LasResult(best, base, step, indices)
 
 
 @functools.lru_cache(maxsize=None)
@@ -631,50 +594,21 @@ def _half_units(m: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, (m + 1) // 2) if math.gcd(u, m) == 1)
 
 
-def _coset_starts(spec: AdditiveSetSpec, v: tuple, ids: list) -> list[int]:
-    """The smallest canonical index of each coset of <v>, rising, as
-    members of ids.
+class GroupLengthEngine(_LaneEngine):
+    """Length engine, reusable across many orderings of one group spec.
 
-    Coordinates before v's first nonzero one, c, are free.  The values at c
-    of a coset run through a coset of <g>, g = gcd(v_c, m_c), so its least
-    one is below g; the members of that value differ by multiples of e * v,
-    e = m_c / g, which are 0 up to c, and the later coordinates recurse on
-    e * v.  The indices so chosen are runs of size consecutive indices from
-    each of firsts: a free coordinate lengthens every run, a bounded one
-    cuts each index of a run into a run of its own.
-    """
-    firsts, size = [0], 1
-    for c, mc in enumerate(spec.moduli):
-        if not v[c]:
-            firsts, size = [f * mc for f in firsts], size * mc
-            continue
-        top = math.gcd(v[c], mc)
-        v = groups.add(spec, (0,) * len(v), v, mc // top)
-        firsts, size = [s * mc for f in firsts for s in range(f, f + size)], top
-    starts: list[int] = []
-    for f in firsts:
-        starts += ids[f : f + size]
-    return starts
+    The constructor finds each cyclic subgroup <v> of order m >= 3 by its
+    smallest generator; order-2 subgroups only give 2-term progressions,
+    which every set of two or more elements has.  The lane steps are u * v
+    for each unit u < m / 2, with bound m.  Lane x + w is lane x with each
+    coordinate c rotated by w_c within its blocks of m_c * stride_c lanes.
+    A run never passes m - 1 comparisons, as m would close the cycle.
 
+    The lines are the cycles of x -> x + w, each walked as cyc + cyc[:-1]
+    so every cyclic window of the cycle is a slice of the walk.
 
-class GroupLengthEngine(_LineBands):
-    """Walk engine, reusable across many orderings of one group spec.
-
-    The lines are the cycles of x -> x + v for one step v of each pair
-    {v, -v} of order at least 3, each walked as cyc + cyc[:-1] so every
-    cyclic window of the cycle is a slice of the walk, and the scan probes
-    it below comparison m + best - 1 only.  The constructor finds each
-    cyclic subgroup <v> of order m >= 3 by its smallest generator; the band
-    of order m lists the cosets of each such subgroup once, as columns
-    mapped from their smallest members through the successor table of v,
-    and for each unit u < m / 2 reads the cycles of u * v from them at
-    i * u mod m.  Order-2 subgroups only give 2-term progressions, which
-    every set of two or more elements has.
-
-    length_of_indices(idx_seq) fills the engine's position buffer from the
-    canonical-index sequence and scans it with length_of_positions(pos),
-    where pos[canonical index] = position in the ordering.  witness(idx_seq)
-    returns the LasResult.
+    length_of_indices(idx_seq) fills the position buffer, pos[canonical
+    index] = position, and scans it with length_of_positions(pos).
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -689,56 +623,82 @@ class GroupLengthEngine(_LineBands):
             if m < 3:
                 continue
             todo.append((m, v))
-            # the generators u * v and -(u * v) of <v> need no band of their own
+            # the generators u * v and -(u * v) of <v> need no entry of their own
             digits = list(zip(v, spec.moduli, spec.strides))
             for u in _half_units(m):
                 for t in (u, m - u):
                     done[sum(t * a % mc * w for a, mc, w in digits)] = 1
         super().__init__(spec, todo)
 
-    def _band(self, m: int, subgroups: list) -> list:
-        ids = self._ids
-        # the doubled walk of unit u reads t * u mod m for t < 2m - 1: runs
-        # sliced in strides of u from 64 copies of range(m), each run
-        # resuming where the last one passed the end, less the copies' length
-        rep = tuple(range(m)) * 64
-        getters = []
-        for u in _half_units(m)[1:]:
-            perm: list[int] = []
-            start = 0
-            while len(perm) < 2 * m - 1:
-                run = rep[start : start + (2 * m - 1 - len(perm)) * u : u]
-                perm += run
-                start += len(run) * u - len(rep)
-            getters.append(itemgetter(*perm))
-        lines = []
-        for v in subgroups:
-            succ = itemgetter(*counting._succ_table(self.spec, v))(ids)
-            col = _coset_starts(self.spec, v, ids)
-            cols = [col]
-            for _ in range(m - 1):
-                col = [*map(succ.__getitem__, col)]
-                cols.append(col)
-            walks = [*zip(*cols, *cols[:-1])]  # walk[i] = start + i * v, doubled
-            lines += zip(itertools.repeat(m), walks)
-            for get in getters:
-                lines += zip(itertools.repeat(m), map(get, walks))
-        return lines
+    def _steps_of(self, m: int, v: tuple) -> list:
+        moduli, strides = self.spec.moduli, self.spec.strides
+        steps = []
+        for u in _half_units(m):
+            w = tuple(u * a % mc for a, mc in zip(v, moduli))
+            turns = tuple((c, a, mc, s) for c, (a, mc, s) in enumerate(zip(w, moduli, strides)) if a)
+            steps.append((w, tuple(-a % mc for a, mc in zip(w, moduli)), turns))
+        return steps
+
+    def _keep(self, key: tuple) -> int:
+        """The lanes whose coordinate c > 0 stays below m_c - b, as 16-bit
+        lanes (wide) or as bits in both halves."""
+        c, b, wide = key
+        m, s = self.spec.moduli[c], self.spec.strides[c]
+        reps = self.card // (m * s)
+        if wide:
+            return int.from_bytes((b"\xff\xff" * ((m - b) * s) + bytes(2 * b * s)) * reps, "little")
+        keep = int(("0" * (b * s) + "1" * ((m - b) * s)) * reps, 2)
+        return keep | keep << 2 * self.card
+
+    def _lanes(self, pos: Sequence[int]) -> tuple[int, int]:
+        lanes = super()._lanes(pos)
+        return lanes, lanes | lanes << 16 * self.card
+
+    def _ones(self, step: tuple, lanes: tuple[int, int]) -> int:
+        # Lanes at |A| and above may hold stray values: no lane below them
+        # reads from there, and the guard mask of _compare drops them.
+        lanes, doubled = lanes
+        shifted = lanes
+        for c, a, m, s in step[2]:
+            if not c:  # coordinate 0 rotates the whole int
+                shifted = doubled >> 16 * a * s
+                continue
+            low, high = shifted >> 16 * a * s, shifted << 16 * (m - a) * s
+            shifted = high ^ ((high ^ low) & self._mask((c, a, True), self._keep))
+        rising = self._compare(shifted, lanes)
+        return rising | (rising ^ self._all) << 2 * self.card
+
+    def _shift(self, step: tuple, bits: int, t: int) -> int:
+        for c, a, m, s in step[2]:
+            b = a * t % m
+            if not b:
+                continue
+            if not c:  # each half of twice its width holds it twice over
+                bits = ((bits | bits << self.card) >> b * s) & self._halves
+                continue
+            keep = self._mask((c, b, False), self._keep)
+            bits = (bits >> b * s & keep) | (bits << (m - b) * s & (keep ^ self._halves))
+        return bits
+
+    def _lines_of(self, w: tuple) -> list:
+        cycles = step_cycles(self.spec, groups.canonical_index(self.spec, w))
+        return [(len(c), tuple(c + c[:-1])) for c in cycles]
 
     # names of this class's own, which perfbench's tracer wraps
-    length_of_positions = _LineBands.length_of_positions
-    length_of_indices = _LineBands.length_of_indices
+    length_of_positions = _LaneEngine.length_of_positions
+    length_of_indices = _LaneEngine.length_of_indices
 
 
-class IntervalLengthEngine(_LineBands):
-    """Walk engine for interval boxes, on canonical index sequences.
+class IntervalLengthEngine(_LaneEngine):
+    """Length engine for interval boxes, on canonical index sequences.
 
-    The lines are the maximal paths x, x + v, ... inside the box with at
-    least 3 terms, for one step v of each pair {v, -v} (first nonzero
-    coordinate positive) with every |v_i| <= (n - 1) / 2, as the row-major
-    indices from x in strides of v's index delta.  A path of step v has at
-    most 1 + (n - 1) // max|v_i| terms, the bound of v's band.  The scan
-    and the witness are the group engine's.
+    The lane steps are one step v of each pair {v, -v} (first nonzero
+    coordinate positive) with every |v_i| <= (n - 1) / 2, with bound
+    1 + (n - 1) // max|v_i|, the most terms of a path of step v in the box.
+    Lane x + v is lane x shifted by v's index delta, which is positive; the
+    bits of the x whose x + v leaves the box are dropped, so a run from x
+    stays inside it.  The lines are the maximal paths x, x + v, ... inside
+    the box with at least 3 terms.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -751,59 +711,47 @@ class IntervalLengthEngine(_LineBands):
             steps = [v for v in itertools.product(range(-half, half + 1), repeat=d) if v > origin]
         super().__init__(spec, [(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
 
-    def _band(self, bound: int, steps: list) -> list:
-        n, d, strides, ids = self.spec.n, self.spec.d, self.spec.strides, self._ids
+    def _steps_of(self, bound: int, v: tuple) -> list:
+        delta = sum(c * s for c, s in zip(v, self.spec.strides))
+        return [(v, tuple(-c for c in v), delta)]
+
+    def _inside(self, v: tuple) -> int:
+        """The bits of the x whose x + v is in the box."""
+        n = self.spec.n
+        inside = 1
+        for c, s in zip(v[::-1], self.spec.strides[::-1]):
+            lo, hi = max(0, -c), min(n, n - c)
+            # the inner coordinates' bits, s of them, at x * s for x in [lo, hi)
+            inside *= ((1 << (hi - lo) * s) - 1) // ((1 << s) - 1) << lo * s
+        return inside
+
+    def _ones(self, step: tuple, lanes: int) -> int:
+        inside = self._mask(step[0], self._inside)
+        rising = self._compare(lanes >> 16 * step[2], lanes) & inside
+        return rising | (rising ^ inside) << 2 * self.card
+
+    def _shift(self, step: tuple, bits: int, t: int) -> int:
+        # a set bit of a run vouches that the lanes it is shifted by are inside
+        shift = t * step[2]
+        return bits >> shift if shift >= 0 else bits << -shift
+
+    def _lines_of(self, v: tuple) -> list:
+        succ = counting._succ_table(self.spec, v)
         lines = []
-        if d == 1:
-            # the paths of step v start at x < v; 3 terms need x < n - 2v
-            for (v,) in steps:
-                paths = [ids[x::v] for x in range(min(v, n - 2 * v))]
-                lines += zip(map(len, paths), paths)
-            return lines
-        for v in steps:
-            delta = sum(c * s for c, s in zip(v, strides))
-            lines += [
-                (cnt, ids[idx : idx + cnt * delta : delta])
-                for idx, cnt in _box_path_starts(n, v, strides)
-            ]
+        for x in sorted(set(range(self.card)).difference(succ)):  # x - v is outside
+            path = [x]
+            while succ[path[-1]] >= 0:
+                path.append(succ[path[-1]])
+            if len(path) >= 3:
+                lines.append((len(path), tuple(path)))
         return lines
 
     # a name of this class's own, which perfbench's tracer wraps as a scan
-    length_of_indices = _LineBands.length_of_indices
-
-
-def _box_path_starts(n: int, v: tuple, strides) -> list[tuple[int, int]]:
-    """(row-major index, term count) of the first point of each maximal path
-    along step v in [0, n)^d with at least 3 terms."""
-    # per coordinate, (x * stride, terms from x along that coordinate) for
-    # the x that leave room for 3 terms, split into x where x - v_i leaves
-    # [0, n) (the path starts there) and the rest
-    heads, tails = [], []
-    for c, s in zip(v, strides):
-        if c > 0:
-            heads.append([(x * s, (n - 1 - x) // c + 1) for x in range(min(c, n - 2 * c))])
-            tails.append([(x * s, (n - 1 - x) // c + 1) for x in range(c, n - 2 * c)])
-        elif c < 0:
-            heads.append([(x * s, x // -c + 1) for x in range(max(n + c, -2 * c), n)])
-            tails.append([(x * s, x // -c + 1) for x in range(-2 * c, n + c)])
-        else:
-            heads.append([])
-            tails.append([(x * s, n) for x in range(n)])
-    # a point starts a path iff some coordinate does; split by the first one
-    out = []
-    for i, head in enumerate(heads):
-        if not head:
-            continue
-        acc = [(0, n)]
-        for j in range(len(v)):
-            axis = tails[j] if j < i else head if j == i else tails[j] + heads[j]
-            acc = [(o + oj, c if c < cj else cj) for o, c in acc for oj, cj in axis]
-        out += acc
-    return out
+    length_of_indices = _LaneEngine.length_of_indices
 
 
 def length_engine(spec: AdditiveSetSpec):
-    """Walk engine for the family, built once per spec:
+    """Length engine for the family, built once per spec:
     engine.length_of_indices(idx_seq) is the longest progression length of
     the ordering listing the canonical indices idx_seq, and
     engine.witness(idx_seq) its LasResult.  Raises CapExceeded

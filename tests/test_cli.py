@@ -322,6 +322,30 @@ def test_enumerate_unwritable_cache_warns(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--set", "interval:10"],
+        ["tables", "--family", "cyclic", "--max-n", "8"],
+        ["simulate", "--set", "cyclic:40", "--samples", "4", "--seed", "1", "--histogram"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("where", ["missing", "dir"])
+def test_unwritable_csv_is_refused_before_the_work(argv, where, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the --csv path was checked")
+
+    monkeypatch.setattr(cli.enumeration, "distribution", no_work)
+    monkeypatch.setattr(cli.montecarlo, "empirical_L_distribution", no_work)
+    path = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+    code, out, err = run_main(capsys, *argv, "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"cannot write {path}" in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a row that differs from the golden table is a failed invariant
     monkeypatch.setattr(cli, "_golden_rows", lambda family: {1: [1], 2: [0, 3]})

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,6 @@ from apseq.las import (
     longest_ap_orbitwalk,
     longest_ap_pairdp,
     progression_index_tuples,
-    step_cycles,
 )
 
 try:
@@ -563,6 +563,20 @@ def test_interval_engine_lines_are_the_maximal_paths(spec):
     assert sorted(tuple(line) for _, line in lines) == _maximal_box_paths(spec)
 
 
+def _coordinate_cycles(spec, v):
+    """The cycles of x -> x + v, as canonical indices, by coordinates."""
+    seen, cycles = set(), []
+    for x in groups.elements(spec):
+        cyc = []
+        while x not in seen:
+            seen.add(x)
+            cyc.append(groups.canonical_index(spec, x))
+            x = groups.add(spec, x, v)
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
 def _undirected_cycle(cyc):
     """The smallest rotation of the cycle read either way round."""
     turns = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
@@ -577,7 +591,8 @@ def _undirected_cycle(cyc):
 )
 def test_group_engine_lines_are_the_cycles(text):
     # one copy of the cycles of one step of each pair {v, -v} of order >= 3,
-    # walked independently of the engine's per-subgroup build
+    # walked by coordinate arithmetic, independently of the engine's
+    # successor tables
     spec = parse_set_spec(text)
     lines = length_engine(spec).lines
     counts = [m for m, _ in lines]
@@ -589,7 +604,7 @@ def test_group_engine_lines_are_the_cycles(text):
         v = groups.element_at(spec, step_idx)
         neg = groups.canonical_index(spec, tuple((-c) % k for c, k in zip(v, spec.moduli)))
         if neg > step_idx:
-            want += [_undirected_cycle(c) for c in step_cycles(spec, step_idx)]
+            want += [_undirected_cycle(c) for c in _coordinate_cycles(spec, v)]
     got = [_undirected_cycle(list(line[:m])) for m, line in lines]
     assert all(len(c) == len(set(c)) for c in got)
     assert sorted(got) == sorted(want)
@@ -597,13 +612,14 @@ def test_group_engine_lines_are_the_cycles(text):
 
 @pytest.mark.parametrize("text", ["cyclic:98", "abelian:3x69"])
 def test_group_engine_walks_of_large_units_are_the_cycles(text):
-    # a walk of a unit u above 32 is read from range(m) * 64 in several runs
+    # subgroups of order 98 and 69: many units u, each giving its own step u * v
     test_group_engine_lines_are_the_cycles(text)
 
 
 def test_group_engine_translations_match_pairdp():
     # the translates of an ordering put its longest runs at every offset of
-    # their cycles, where the scan's probe window must still find them
+    # their cycles, so the lane scan's rotations must carry them across the
+    # ends of every coordinate block
     rnd = random.Random(17)
     for text in ["cyclic:7", "cyclic:12", "cyclic:25", "cyclic:60", "abelian:4x8",
                  "abelian:3x3x9"]:
@@ -621,9 +637,9 @@ def test_group_engine_translations_match_pairdp():
 
 @pytest.mark.parametrize("text", ["cyclic:16", "interval:16"])
 def test_length_engines_agree_in_any_feed_order(text):
-    # bands are built as scans reach them: the 3-free orderings (L = 2)
-    # build every band at once, random ones only the long bands; one engine
-    # sees the 3-free orderings first, the other the same orderings reversed
+    # the 3-free orderings (L = 2) scan every step, random ones only the
+    # steps of the longest bounds; one engine sees the 3-free orderings
+    # first, the other the same orderings reversed
     spec = parse_set_spec(text)
     rnd = random.Random(text)
     three_free = [o.indices for o in enumeration.three_free_orderings(4)]
@@ -661,7 +677,6 @@ def test_witness_after_partial_build_matches_pairdp(text):
         perms.append(perm)
     scanned = length_engine(spec)
     scanned.length_of_indices(perms[0])
-    assert scanned._reach > 2  # the scan left short bands unbuilt
     fresh = length_engine(spec)
     for perm in perms:
         want = longest_ap_pairdp(_ordering(spec, perm))
@@ -669,15 +684,36 @@ def test_witness_after_partial_build_matches_pairdp(text):
         assert scanned.witness(perm) == want, (text, perm)
 
 
-def test_interval_engine_builds_few_lines_for_a_random_ordering():
-    spec = interval_box(1000)
+@pytest.mark.parametrize("text", ["interval:1000", "cyclic:1000"])
+def test_engine_scans_and_witnesses_build_no_lines(text, monkeypatch):
+    # lengths and witnesses come from the lane scan; lines serve enumeration
+    spec = parse_set_spec(text)
     engine = length_engine(spec)
+
+    def no_lines(*args):
+        raise AssertionError("a scan built lines")
+
+    monkeypatch.setattr(type(engine), "_lines_of", no_lines)
     perm = list(range(1000))
     random.Random(1).shuffle(perm)
     got = engine.length_of_indices(perm)
-    built = len(engine._built) + sum(map(len, engine._held.values()))
-    assert built <= 0.15 * len(engine.lines)  # .lines builds every band
-    assert engine.length_of_indices(perm) == got
+    assert engine.witness(perm).length == got
+    assert "lines" not in vars(engine)
+
+
+def test_lane_engine_keeps_little_after_a_witness():
+    # an inner radix of 2500 asks for the most coordinate masks; the engine
+    # keeps a bounded number of them
+    perm = list(range(5000))
+    random.Random(3).shuffle(perm)
+    tracemalloc.start()
+    try:
+        engine = length_engine(abelian(2, 2500))
+        engine.witness(perm)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * 2**20
 
 
 def _chains(limit, depth, smallest=2):
@@ -689,6 +725,24 @@ def _chains(limit, depth, smallest=2):
             out += [(f,) + rest for rest in _chains(limit // f, depth - 1, f)
                     if rest[0] % f == 0]
     return out
+
+
+def _shift_sets():
+    """Every chain with |Z| <= 60 and at most 3 factors, and the boxes of
+    dimension 2 and 3 with n <= 5: the coordinate shifts of the lane scan."""
+    return [abelian(*c) for c in _chains(60, 3)] + [
+        interval_box(n, d) for d in (2, 3) for n in range(1, 6)
+    ]
+
+
+@pytest.mark.parametrize("spec", _shift_sets(), ids=str)
+def test_lane_scan_coordinate_shifts_match_pairdp(spec):
+    engine = length_engine(spec)
+    rnd = random.Random(str(spec))
+    perm = list(range(spec.cardinality))
+    for _ in range(5):
+        rnd.shuffle(perm)
+        assert engine.witness(perm) == longest_ap_pairdp(_ordering(spec, perm)), (spec, perm)
 
 
 PROPERTY_LIMIT = 60
