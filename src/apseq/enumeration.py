@@ -5,8 +5,9 @@ of orderings of Z/2^m Z with no 3-term progression subsequence.
 Distributions are tallied in blocks of orderings, not one ordering at a
 time.  A block holds each element's position in up to 5,040 orderings as
 one int with a byte lane per ordering, and bitwise operations along the
-lines of the set's length engine find the longest monotone run, and so L,
-in every lane at once.
+set's lines find the longest monotone run, and so L, in every lane at once.
+The lines are the walks of las.step_cycles of one step of each pair
+{r, -r}: the maximal paths of a box and the cycles of a group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 
-from . import __version__, groups, las
+from . import __version__, counting, groups, las
 from .errors import CapExceeded, InternalInvariantError
 from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, Frozen, totient
 
@@ -59,13 +60,28 @@ def _rank_columns(r: int) -> tuple[bytes, ...]:
     return tuple(flat[j::r] for j in range(r))
 
 
+def _lines(spec: AdditiveSetSpec) -> list:
+    """Every line of the set as an (m, line) pair, longest first: line lists
+    the canonical indices x, x + r, ... of one walk of step r > -r with
+    m >= 3 terms, a cycle walked as cyc + cyc[:-1] so that each of its
+    cyclic windows is a slice of the line."""
+    zero, lines = groups.identity(spec), []
+    for r in counting._steps(spec):
+        if r > groups.add(spec, zero, r, -1):
+            for closed, walk in las.step_cycles(spec, r):
+                if len(walk) >= 3:
+                    lines.append((len(walk), walk + walk[:-1] if closed else walk))
+    lines.sort(key=lambda item: item[0], reverse=True)
+    return lines
+
+
 def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
     """Add to counts the longest progression length of lanes orderings of a
     set of two or more elements at once.
 
     Byte i of cols[x] is the position of element x in ordering i; positions
     are below 128, so each lane has a guard bit G = 0x80.  Along a line
-    a, b of an engine, ((b | G) - a) & G sets G in the lanes where b comes
+    a, b of _lines, ((b | G) - a) & G sets G in the lanes where b comes
     after a, and no lane borrows from the next.  ANDing k - 1 consecutive
     comparisons from term t marks the rising runs of k terms from t, the
     complements the falling ones; runs start below m, so a group's doubled
@@ -223,8 +239,8 @@ def distribution(
     The orderings are tallied in blocks (_tally_block): each block fixes the
     positions of all but at most _BLOCK_FREE elements and holds every
     placement of the rest, and one pass of bitwise operations over the
-    lines of the set's length engine, built once per call, gives the L of
-    all its orderings at once.  Symmetry reduction (interval and cyclic
+    set's lines (_lines), built once per call, gives the L of all its
+    orderings at once.  Symmetry reduction (interval and cyclic
     families only) tallies one representative per orbit and counts it with
     its orbit's size.  Reversal keeps L, and so do reflection v -> n+1-v on
     [1, n] (a group of order 4 with reversal) and the maps x -> u*x + t of
@@ -263,7 +279,7 @@ def distribution(
     if card == 1:
         counts = [0, 1]
     else:
-        lines = las.length_engine(spec).lines
+        lines = _lines(spec)
         if reduce is not None:
             counts = reduce(lines, card)
         elif pooled and card > 2:

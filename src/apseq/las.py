@@ -9,9 +9,9 @@ every x with that of x + w, and ANDs of its shifted copies mark the runs
 in order along x, x + w, ...  A rising run is a progression with step w, a
 falling run one with step -w.  length_of_indices gives the longest length,
 witness the smallest (base index, step) of that length, and
-longest_ap_orbitwalk is that witness for groups.  The engine's lines, the
-cycles of a group and the maximal paths inside a box, serve exhaustive
-enumeration only.
+longest_ap_orbitwalk is that witness for groups.  step_cycles walks
+x -> x + r over a successor table: the cycles of a group and the maximal
+paths inside a box, from which enumeration builds its lines.
 
 The pair DP keys chains of index pairs by their common difference, read for
 each position from a row of differences over all canonical indices; it
@@ -40,9 +40,7 @@ from .groups import INTERVAL, AdditiveSetSpec, Frozen
 
 PAIR_DP_CAP = 5000
 # A scan keeps one 16-bit lane per element, positions staying below its
-# guard bit.  Lines, built only when asked for, hold about |A|^2 entries in a
-# group (cyclic:5000: 24,967,500) and fewer in a box (interval:5000:
-# 10,414,166).
+# guard bit.
 ENGINE_CAP = 5000
 
 
@@ -130,25 +128,25 @@ def _singleton_result() -> LasResult:
     return LasResult(1, None, None, (0,))
 
 
-def step_cycles(spec: AdditiveSetSpec, step_idx: int) -> list[list[int]]:
-    """Cycles of x -> x + step over canonical indices, for a group family,
-    walked node by node; the group engine's lines are these cycles."""
-    r = groups.element_at(spec, step_idx)
+def step_cycles(spec: AdditiveSetSpec, r: tuple) -> list[tuple[bool, list[int]]]:
+    """The walks of x -> x + r over canonical indices, as (closed, walk)
+    pairs, read node by node from the successor table: in a box the maximal
+    paths, each from an x whose x - r lies outside; in a group the cycles."""
     succ = counting._succ_table(spec, r)
-    card = spec.cardinality
-    seen = bytearray(card)
-    cycles = []
-    for start in range(card):
+    seen = bytearray(len(succ))
+    walks = []
+    # a box's paths start where no x - r points in; a group has no such start
+    for start in sorted(set(range(len(succ))).difference(succ)) or range(len(succ)):
         if seen[start]:
             continue
-        cyc = []
+        walk = []
         cur = start
-        while not seen[cur]:
+        while cur >= 0 and not seen[cur]:
             seen[cur] = 1
-            cyc.append(cur)
+            walk.append(cur)
             cur = succ[cur]
-        cycles.append(cyc)
-    return cycles
+        walks.append((cur >= 0, walk))
+    return walks
 
 
 def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
@@ -167,7 +165,7 @@ def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
 @functools.lru_cache(maxsize=32)
 def _last_engine(spec: AdditiveSetSpec):
     """The length engines of the last 32 sets the orbit walk saw.  An engine
-    that only scans keeps its steps and at most _MASKS_KEPT masks, no lines."""
+    keeps its steps and at most _MASKS_KEPT masks."""
     return length_engine(spec)
 
 
@@ -448,9 +446,6 @@ class _LaneEngine:
     bits from bit 0 and falling ones from bit 2|A|, which _shift moves by a
     multiple of w.  The AND of the bits shifted by 0, w, ..., (c - 1)w marks
     the runs of c + 1 terms.
-
-    Lines serve enumeration only: lines walks them all on first use, each
-    engine's _lines_of(w) giving the (m, line) pairs of one step.
     """
 
     def __init__(self, spec: AdditiveSetSpec, todo: list):
@@ -461,15 +456,6 @@ class _LaneEngine:
         self._todo = todo
         self._steps = None
         self._masks: dict = {}
-
-    @functools.cached_property
-    def lines(self) -> list:
-        """Every line as an (m, line) pair, longest first: line lists the
-        canonical indices x, x + w, ... of one lane step w, and m bounds the
-        terms of a run in it."""
-        lines = [line for _, step in self._lane_steps() for line in self._lines_of(step[0])]
-        lines.sort(key=itemgetter(0), reverse=True)
-        return lines
 
     def _lane_steps(self) -> list:
         """(bound, step) pairs, the bound falling, derived on first use so
@@ -604,9 +590,6 @@ class GroupLengthEngine(_LaneEngine):
     coordinate c rotated by w_c within its blocks of m_c * stride_c lanes.
     A run never passes m - 1 comparisons, as m would close the cycle.
 
-    The lines are the cycles of x -> x + w, each walked as cyc + cyc[:-1]
-    so every cyclic window of the cycle is a slice of the walk.
-
     length_of_indices(idx_seq) fills the position buffer, pos[canonical
     index] = position, and scans it with length_of_positions(pos).
     """
@@ -680,10 +663,6 @@ class GroupLengthEngine(_LaneEngine):
             bits = (bits >> b * s & keep) | (bits << (m - b) * s & (keep ^ self._halves))
         return bits
 
-    def _lines_of(self, w: tuple) -> list:
-        cycles = step_cycles(self.spec, groups.canonical_index(self.spec, w))
-        return [(len(c), tuple(c + c[:-1])) for c in cycles]
-
     # names of this class's own, which perfbench's tracer wraps
     length_of_positions = _LaneEngine.length_of_positions
     length_of_indices = _LaneEngine.length_of_indices
@@ -697,8 +676,7 @@ class IntervalLengthEngine(_LaneEngine):
     1 + (n - 1) // max|v_i|, the most terms of a path of step v in the box.
     Lane x + v is lane x shifted by v's index delta, which is positive; the
     bits of the x whose x + v leaves the box are dropped, so a run from x
-    stays inside it.  The lines are the maximal paths x, x + v, ... inside
-    the box with at least 3 terms.
+    stays inside it.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -734,17 +712,6 @@ class IntervalLengthEngine(_LaneEngine):
         # a set bit of a run vouches that the lanes it is shifted by are inside
         shift = t * step[2]
         return bits >> shift if shift >= 0 else bits << -shift
-
-    def _lines_of(self, v: tuple) -> list:
-        succ = counting._succ_table(self.spec, v)
-        lines = []
-        for x in sorted(set(range(self.card)).difference(succ)):  # x - v is outside
-            path = [x]
-            while succ[path[-1]] >= 0:
-                path.append(succ[path[-1]])
-            if len(path) >= 3:
-                lines.append((len(path), tuple(path)))
-        return lines
 
     # a name of this class's own, which perfbench's tracer wraps as a scan
     length_of_indices = _LaneEngine.length_of_indices

@@ -123,6 +123,33 @@ def test_symmetry_reduction_scan_count(text, most, monkeypatch):
     assert sum(lanes_seen) == {"interval:9": 100_800, "cyclic:10": 45_648}[text]
 
 
+# Rows of sets outside the golden tables, tallied along lines built
+# independently of enumeration's: those the length engines once kept.
+OTHER_ROWS = {
+    "abelian:2x4": [0, 1664, 7808, 30848, 0, 0, 0, 0],
+    "interval:2,3": [0, 40320, 0, 0, 0, 0, 0, 0],
+    "elementary:3^2": [0, 0, 362880, 0, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "text, symmetry",
+    [("interval:8", False), ("cyclic:8", False), ("abelian:2x4", False),
+     ("interval:2,3", False), ("elementary:3^2", False), ("interval:9", True),
+     ("cyclic:10", True)],
+)
+def test_distribution_builds_no_length_engine(text, symmetry, monkeypatch):
+    # enumeration walks its lines itself; length engines only scan
+    def no_engine(spec):
+        raise AssertionError("enumeration built a length engine")
+
+    monkeypatch.setattr(las, "length_engine", no_engine)
+    spec = groups.parse_set_spec(text)
+    row = distribution(spec, symmetry_reduction=symmetry).row()
+    want = OTHER_ROWS.get(text) or _golden_rows(spec.family)[spec.n]
+    assert row + [0] * (len(want) - len(row)) == want
+
+
 def _placed_orderings(card, placed):
     """Every ordering, as canonical indices, that puts each element of
     placed at its position."""
@@ -159,7 +186,7 @@ def _reference_counts(spec, orderings, method):
 def test_block_tally_matches_per_ordering_lengths(text):
     spec = groups.parse_set_spec(text)
     card = spec.cardinality
-    lines = las.length_engine(spec).lines
+    lines = enumeration._lines(spec)
     placements = [()] if card <= 8 else [((0, card // 2),)]
     if card >= 3:
         placements.append(((card - 1, 0), (1, card // 2), (2, card - 1)))
@@ -180,7 +207,7 @@ def test_block_tally_of_listed_orderings():
     spec = cyclic(8)
     orderings = list(itertools.permutations(range(8)))[::97]
     got = [0] * 9
-    enumeration._tally_orderings(las.length_engine(spec).lines, orderings, got)
+    enumeration._tally_orderings(enumeration._lines(spec), orderings, got)
     assert got == _reference_counts(spec, orderings, "pairdp")
 
 
@@ -190,7 +217,7 @@ def test_block_tally_twelve_elements(text):
     spec = groups.parse_set_spec(text)
     placed = ((0, 0), (5, 3), (7, 11), (3, 6), (9, 7))
     got = [0] * 13
-    enumeration._tally_placed(las.length_engine(spec).lines, 12, placed, got)
+    enumeration._tally_placed(enumeration._lines(spec), 12, placed, got)
     orderings = list(_placed_orderings(12, placed))
     assert sum(got) == len(orderings) == math.factorial(7)
     assert got == _reference_counts(spec, orderings, "scan")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from apseq import enumeration, groups
+from apseq import counting, enumeration, groups, las
 from apseq.counting import iter_progressions
 from apseq.errors import CapExceeded
 from apseq.groups import abelian, cyclic, elementary, interval_box, parse_set_spec
@@ -556,7 +556,7 @@ def _maximal_box_paths(spec):
 )
 def test_interval_engine_lines_are_the_maximal_paths(spec):
     # the golden tables check boxes of dimension 1 only
-    lines = length_engine(spec).lines
+    lines = enumeration._lines(spec)
     counts = [m for m, _ in lines]
     assert counts == sorted(counts, reverse=True)
     assert all(m == len(line) for m, line in lines)
@@ -591,10 +591,10 @@ def _undirected_cycle(cyc):
 )
 def test_group_engine_lines_are_the_cycles(text):
     # one copy of the cycles of one step of each pair {v, -v} of order >= 3,
-    # walked by coordinate arithmetic, independently of the engine's
-    # successor tables
+    # walked by coordinate arithmetic, independently of the successor
+    # tables that enumeration's lines walk
     spec = parse_set_spec(text)
-    lines = length_engine(spec).lines
+    lines = enumeration._lines(spec)
     counts = [m for m, _ in lines]
     assert counts == sorted(counts, reverse=True)
     for m, line in lines:
@@ -686,19 +686,21 @@ def test_witness_after_partial_build_matches_pairdp(text):
 
 @pytest.mark.parametrize("text", ["interval:1000", "cyclic:1000"])
 def test_engine_scans_and_witnesses_build_no_lines(text, monkeypatch):
-    # lengths and witnesses come from the lane scan; lines serve enumeration
+    # lengths and witnesses come from the lane scan; only enumeration walks
+    # lines, and no engine keeps any
     spec = parse_set_spec(text)
     engine = length_engine(spec)
 
-    def no_lines(*args):
-        raise AssertionError("a scan built lines")
+    def no_walk(*args):
+        raise AssertionError("a scan walked a successor table")
 
-    monkeypatch.setattr(type(engine), "_lines_of", no_lines)
+    monkeypatch.setattr(las, "step_cycles", no_walk)
+    monkeypatch.setattr(counting, "_succ_table", no_walk)
     perm = list(range(1000))
     random.Random(1).shuffle(perm)
     got = engine.length_of_indices(perm)
     assert engine.witness(perm).length == got
-    assert "lines" not in vars(engine)
+    assert not hasattr(engine, "lines") and not hasattr(engine, "_lines_of")
 
 
 def test_lane_engine_keeps_little_after_a_witness():
