@@ -8,6 +8,8 @@ one int with a byte lane per ordering, and bitwise operations along the
 set's lines find the longest monotone run, and so L, in every lane at once.
 The lines are the walks of las.step_cycles of one step of each pair
 {r, -r}: the maximal paths of a box and the cycles of a group.
+Symmetry reduction serves every family with one reducer: it tallies one
+ordering per orbit of the maps that keep progressions in order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 
 from . import __version__, counting, groups, las
 from .errors import CapExceeded, InternalInvariantError
-from .groups import CYCLIC, INTERVAL, AdditiveSetSpec, Frozen, totient
+from .groups import CYCLIC, AdditiveSetSpec, Frozen
 
 SERIAL_BUDGET = 10
 PARALLEL_BUDGET = 12
@@ -53,10 +55,10 @@ class DistributionTable(Frozen):
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_columns(r: int) -> tuple[bytes, ...]:
-    """The r! permutations of range(r), in order, as r columns: byte i of
-    column j is entry j of permutation i."""
-    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(r))))
+def _rank_columns(r: int, start: int = 0) -> tuple[bytes, ...]:
+    """The r! permutations of range(start, start + r), in order, as r
+    columns: byte i of column j is entry j of permutation i."""
+    flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(start, start + r))))
     return tuple(flat[j::r] for j in range(r))
 
 
@@ -143,10 +145,30 @@ def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
         _tally_block(lines, cols, lanes, counts)
 
 
-def _tally_orderings(lines, seqs: list, counts: list[int]) -> None:
-    """Add to counts the L of each ordering of seqs (canonical indices)."""
-    if seqs:
-        _tally_block(lines, *las.lane_columns(seqs, 8), counts)
+def _tally_leaves(lines, card: int, leaves, counts: list[int]) -> None:
+    """Add to counts the L of every ordering of leaves, (where, free) pairs:
+    element x is at position where[x] unless it is in free, and the
+    elements of free take the middle positions in every order.
+
+    A leaf of _BLOCK_FREE or more free elements goes to _tally_placed.  The
+    others share blocks, one ordering per row, column x of the rows holding
+    the lanes of element x.  Taken largest first, a leaf of f! rows follows
+    a multiple of f! rows, so every block but the last fills to 7! lanes.
+    """
+    rows = bytearray()
+    leaves = sorted(leaves, key=lambda leaf: -len(leaf[1]))
+    for n, (where, free) in enumerate(leaves, 1):
+        if len(free) >= _BLOCK_FREE:
+            _tally_placed(lines, card, [(x, p) for x, p in enumerate(where) if x not in free], counts)
+            continue
+        start = len(rows)
+        rows += where * math.factorial(len(free))
+        for x, col in zip(free, _rank_columns(len(free), (card - len(free)) // 2)):
+            rows[start + x :: card] = col
+        if len(rows) == card * math.factorial(_BLOCK_FREE) or n == len(leaves):
+            cols = [int.from_bytes(rows[x::card], "little") for x in range(card)]
+            _tally_block(lines, cols, len(rows) // card, counts)
+            rows = bytearray()
 
 
 def _placed_worker(args) -> list[int]:
@@ -156,75 +178,69 @@ def _placed_worker(args) -> list[int]:
     return counts
 
 
-def _tally_interval_reduced(lines, n: int) -> list[int]:
-    # Reflection v -> n-1-v and reversal generate a group of order 4, which
-    # acts on the end pairs (first a, last b) as (a, b), (b, a),
-    # (n-1-a, n-1-b), (n-1-b, n-1-a).  Each orbit meets the end pairs with
-    # a < b and a + b <= n - 1 in one ordering (weight 4) when a + b < n - 1;
-    # when a + b = n - 1 the pair is fixed by reflection after reversal, and
-    # the orbit holds two such orderings or one that map fixes (weight 2).
-    four, two = [0] * (n + 1), [0] * (n + 1)
-    for a in range(n):
-        for b in range(a + 1, n - a):
-            counts = four if a + b < n - 1 else two
-            _tally_placed(lines, n, ((a, 0), (b, n - 1)), counts)
-    return [4 * c4 + 2 * c2 for c4, c2 in zip(four, two)]
+def _symmetries(spec: AdditiveSetSpec) -> list[tuple[int, ...]]:
+    """The maps that keep every progression of a set of two or more
+    elements a progression, in order, as index rows (row[i] is the index of
+    the image of element i): x -> u*x + t in a group, u a unit modulo the
+    exponent, and a box's coordinate reflections and permutations."""
+    elems = list(groups.elements(spec))
+    if spec.is_group:
+        e = spec.exponent
+        images = (
+            [groups.add(spec, t, x, u) for x in elems]
+            for u in range(1, e)
+            if math.gcd(u, e) == 1
+            for t in elems
+        )
+    else:
+        images = (
+            [tuple(spec.n + 1 - x[c] if flip else x[c] for c, flip in zip(perm, flips))
+             for x in elems]
+            for perm in itertools.permutations(range(spec.d))
+            for flips in itertools.product((False, True), repeat=spec.d)
+        )
+    index = {x: i for i, x in enumerate(elems)}
+    return [tuple(map(index.__getitem__, image)) for image in images]
 
 
-def _tally_cyclic_reduced(lines, n: int) -> list[int]:
-    # The maps x -> u*x + t (u a unit), with or without reversal, form a
-    # group of order 2n*phi(n); only a reversing map can fix an ordering.
-    # Translation puts 0 first, and a unit then takes the last term l to
-    # e = gcd(l, n).  What still acts on the orderings s from 0 to e is
-    # K = S_e x {1, R'}, where S_e holds the units fixing e and
-    # R's = e - reversed(s).  One lexicographic minimum per K-orbit is
-    # tallied; its orbit has 2n*phi(n) orderings, or half as many when a
-    # reversing map fixes it.  The second terms of its images u*s and u*R's
-    # decide most end pairs (a, b) for every middle at once: those blocks
-    # go to the kernel whole, and only tied pairs test each middle.
-    if n <= 3:
-        counts = [0] * (n + 1)
-        _tally_placed(lines, n, (), counts)
-        return counts
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    free, fixed = [0] * (n + 1), [0] * (n + 1)
-    for e in groups.divisors(n)[:-1]:
-        stab = [u for u in units if u * e % n == e]
-        inner = [v for v in range(1, n) if v != e]
-        for a in inner:
-            for b in inner:
-                if a == b:
-                    continue
-                # second terms of the images u*s (u != 1) and u*R's
-                images = [(u * a % n, False, u) for u in stab if u != 1]
-                images += [((e - u * b) % n, True, u) for u in stab]
-                low = min(second for second, _, _ in images)
-                if a > low:
-                    continue
-                if a < low:
-                    placed = ((0, 0), (a, 1), (b, n - 2), (e, n - 1))
-                    _tally_placed(lines, n, placed, free)
-                    continue
-                tied = [
-                    (rev, [(e - u * x) % n if rev else u * x % n for x in range(n)])
-                    for second, rev, u in images
-                    if second == a
-                ]
-                kept: tuple[list, list] = ([], [])  # (not stabilised, stabilised)
-                for mid in itertools.permutations([v for v in inner if v != a and v != b]):
-                    seq = (0, a, *mid, b, e)
-                    stabilised = False
-                    for rev, row in tied:
-                        image = tuple(map(row.__getitem__, seq[::-1] if rev else seq))
-                        if image < seq:
-                            break
-                        stabilised = stabilised or image == seq
-                    else:
-                        kept[stabilised].append(seq)
-                _tally_orderings(lines, kept[False], free)
-                _tally_orderings(lines, kept[True], fixed)
-    orbit = 2 * n * totient(n)
-    return [orbit * c + orbit // 2 * f for c, f in zip(free, fixed)]
+def _tally_reduced(lines, spec: AdditiveSetSpec) -> list[int]:
+    """The counts of distribution from one ordering per orbit of the maps
+    of _symmetries, with and without reversal.
+
+    Reversal takes the end pair (first a, last b) of an ordering to (b, a),
+    and a map to the pair's image, so the orderings of one end pair per
+    orbit are tallied, weighted by the orbit's size.  The maps that fix
+    that pair act on its orderings, and the next pair in is reduced under
+    them alike, until the identity alone is left or one element is.
+    """
+    card = spec.cardinality
+    leaves: dict[int, list] = {}  # weight -> (where, free) pairs
+
+    def split(where, rest, maps, weight):
+        if len(maps) == 1 or len(rest) <= 1:
+            leaves.setdefault(weight, []).append((where, rest))
+            return
+        i = (card - len(rest)) // 2
+        for pair in itertools.permutations(rest, 2):
+            a, b = pair
+            images = [(row[b], row[a]) if rev else (row[a], row[b]) for row, rev in maps]
+            if min(images) < pair:
+                continue  # each orbit once, at its least pair
+            fixing = [m for m, image in zip(maps, images) if image == pair]
+            inner = bytearray(where)
+            inner[a], inner[b] = i, card - 1 - i
+            left = [x for x in rest if x != a and x != b]
+            # the orbit of (a, b) has len(maps) / len(fixing) pairs
+            split(inner, left, fixing, weight * len(maps) // len(fixing))
+
+    maps = [(row, rev) for rev in (False, True) for row in _symmetries(spec)]
+    split(bytes(card), range(card), maps, 1)
+    total = [0] * (card + 1)
+    for weight, placements in leaves.items():
+        counts = [0] * (card + 1)
+        _tally_leaves(lines, card, placements, counts)
+        total = [t + weight * c for t, c in zip(total, counts)]
+    return total
 
 
 def distribution(
@@ -240,19 +256,11 @@ def distribution(
     positions of all but at most _BLOCK_FREE elements and holds every
     placement of the rest, and one pass of bitwise operations over the
     set's lines (_lines), built once per call, gives the L of all its
-    orderings at once.  Symmetry reduction (interval and cyclic
-    families only) tallies one representative per orbit and counts it with
-    its orbit's size.  Reversal keeps L, and so do reflection v -> n+1-v on
-    [1, n] (a group of order 4 with reversal) and the maps x -> u*x + t of
-    Z/nZ, u a unit (order 2n*phi(n) with reversal).  An interval ordering
-    is kept when its first term a and last term b have a < b and
-    a + b <= n + 1, with weight 4, or weight 2 when a + b = n + 1.  A
-    cyclic ordering is kept when it runs from 0 to a divisor e of n and is
-    the lexicographic minimum of its images that do the same, with weight
-    2n*phi(n), halved when one of them is itself.  The reduction is opt-in
-    and is validated against unreduced enumeration in the test suite.  The
-    budget follows the work that runs: |A| <= PARALLEL_BUDGET under
-    symmetry reduction or a pool of two or more workers, |A| <=
+    orderings at once.  Symmetry reduction, on every family, tallies one
+    ordering per orbit of the maps that keep L (_tally_reduced); it is
+    opt-in and is validated against unreduced enumeration in the test
+    suite.  The budget follows the work that runs: |A| <= PARALLEL_BUDGET
+    under symmetry reduction or a pool of two or more workers, |A| <=
     SERIAL_BUDGET otherwise.
     """
     card = spec.cardinality
@@ -266,22 +274,12 @@ def distribution(
         if cached is not None:
             return cached
 
-    reduce = None
-    if symmetry_reduction and card >= 2:
-        if spec.family == INTERVAL and spec.d == 1:
-            reduce = _tally_interval_reduced
-        elif spec.family == CYCLIC:
-            reduce = _tally_cyclic_reduced
-        else:
-            raise ValueError(
-                "symmetry reduction supports the interval (d=1) and cyclic families"
-            )
     if card == 1:
         counts = [0, 1]
     else:
         lines = _lines(spec)
-        if reduce is not None:
-            counts = reduce(lines, card)
+        if symmetry_reduction:
+            counts = _tally_reduced(lines, spec)
         elif pooled and card > 2:
             # one task per placement of elements 0 and 1
             tasks = [

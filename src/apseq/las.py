@@ -341,27 +341,26 @@ def lane_ones(lanes: int, width: int) -> int:
     return int.from_bytes(b"\x01".ljust(width // 8, b"\0") * lanes, "little")
 
 
-def lane_columns(seqs, width: int) -> tuple[list[int], int]:
+def lane_columns(seqs) -> tuple[list[int], int]:
     """Each element's positions in the orderings of seqs (canonical indices,
     all of one set) as one int per element, and the number of orderings.
 
-    Lane i, width bits from bit width * i, of the int of element x holds the
-    position of x in the i-th ordering.  Positions stay below
-    2^(width - 1), so the top bit of each lane is free as a guard bit.  seqs
-    may be any iterable; each ordering is packed as it is read.
+    Lane i, 16 bits from bit 16 * i, of the int of element x holds the
+    position of x in the i-th ordering.  Positions stay below 2^15, so the
+    top bit of each lane is free as a guard bit.  seqs may be any iterable;
+    each ordering is packed as it is read.
     """
-    code = "B" if width == 8 else "H"
     rows = bytearray()
     card = 0
     for seq in seqs:
         card = len(seq)
-        pos = memoryview(bytearray(card * width // 8)).cast(code)
+        pos = memoryview(bytearray(2 * card)).cast("H")
         for where, idx in enumerate(seq):
             pos[idx] = where
         rows += pos
-    assert card <= 1 << (width - 1), "positions would reach the guard bit"
+    assert card <= 1 << 15, "positions would reach the guard bit"
     # the lanes are native-order items; their bytes read back in that order
-    flat = memoryview(rows).cast(code)
+    flat = memoryview(rows).cast("H")
     cols = [int.from_bytes(flat[x::card], sys.byteorder) for x in range(card)]
     return cols, len(flat) // card if card else 0
 
@@ -382,7 +381,7 @@ def count_in_orders(progs, seqs) -> list[int]:
     order.  mask >> 15 adds 1 to those lanes of a 16-bit accumulator,
     which is flushed into per-lane ints every _LANE_FLUSH tuples.
     """
-    cols, lanes = lane_columns(seqs, 16)
+    cols, lanes = lane_columns(seqs)
     counts = [0] * lanes
     if not progs or not lanes:
         return counts

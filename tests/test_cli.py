@@ -322,6 +322,18 @@ def test_enumerate_unwritable_cache_warns(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_enumerate_symmetry_with_cache_on_any_family(tmp_path, capsys):
+    # a reduced run of a non-cyclic group, cold and then warm, prints the
+    # unreduced rows and exits 0 both times
+    argv = ["enumerate", "--set", "abelian:2x2"]
+    code, unreduced, _ = run_main(capsys, *argv)
+    assert code == 0
+    cached = [*argv, "--symmetry", "--cache", str(tmp_path)]
+    assert run_main(capsys, *cached) == (0, unreduced, "")
+    assert len(list(tmp_path.iterdir())) == 1
+    assert run_main(capsys, *cached) == (0, unreduced, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -102,11 +102,14 @@ def test_symmetry_reduction_matches_golden(text):
     assert row + [0] * (len(golden) - len(row)) == golden
 
 
-# Orbit representatives tallied per set: interval:9 has 9!/4 orbits under
-# reflection and reversal, cyclic:10 about 10!/80 under the affine maps and
-# reversal.  A reduction that drops reversal tallies twice as many.  The
-# exact counts are the README's.
-@pytest.mark.parametrize("text, most", [("interval:9", 103_680), ("cyclic:10", 47_628)])
+# Orbit representatives tallied per set: interval:9 has about 9!/4 orbits
+# under reflection and reversal, cyclic:10 about 10!/80 and abelian:3x3
+# about 9!/36 under the affine maps and reversal.  A reduction that drops
+# reversal tallies twice as many.  The exact counts are the orbit counts,
+# as the README states for interval:9 and cyclic:10.
+@pytest.mark.parametrize(
+    "text, most", [("interval:9", 103_680), ("cyclic:10", 47_628), ("abelian:3x3", 10_584)]
+)
 def test_symmetry_reduction_scan_count(text, most, monkeypatch):
     spec = groups.parse_set_spec(text)
     tally = enumeration._tally_block
@@ -118,9 +121,10 @@ def test_symmetry_reduction_scan_count(text, most, monkeypatch):
 
     monkeypatch.setattr(enumeration, "_tally_block", counted)
     table = distribution(spec, symmetry_reduction=True)
-    assert sum(table.row()) == math.factorial(spec.n)
+    assert sum(table.row()) == math.factorial(spec.cardinality)
     assert sum(lanes_seen) <= most
-    assert sum(lanes_seen) == {"interval:9": 100_800, "cyclic:10": 45_648}[text]
+    exact = {"interval:9": 90_816, "cyclic:10": 45_648, "abelian:3x3": 10_176}
+    assert sum(lanes_seen) == exact[text]
 
 
 # Rows of sets outside the golden tables, tallied along lines built
@@ -203,14 +207,6 @@ def test_block_tally_matches_per_ordering_lengths(text):
             assert got == _reference_counts(spec, orderings, "pairdp"), (text, placed)
 
 
-def test_block_tally_of_listed_orderings():
-    spec = cyclic(8)
-    orderings = list(itertools.permutations(range(8)))[::97]
-    got = [0] * 9
-    enumeration._tally_orderings(enumeration._lines(spec), orderings, got)
-    assert got == _reference_counts(spec, orderings, "pairdp")
-
-
 @pytest.mark.parametrize("text", ["cyclic:12", "interval:12"])
 def test_block_tally_twelve_elements(text):
     # positions up to 11 in every lane, so each difference meets the guard bit
@@ -224,9 +220,14 @@ def test_block_tally_twelve_elements(text):
     assert got == _reference_counts(spec, orderings, "pairdp")
 
 
-def test_symmetry_reduction_unsupported_family():
-    with pytest.raises(ValueError):
-        distribution(groups.abelian(2, 2), symmetry_reduction=True)
+def test_symmetry_reduction_every_family():
+    # every non-cyclic group and every box with d >= 2 of at most 9 elements
+    for text in ["abelian:2x2", "abelian:2x4", "abelian:2x2x2", "abelian:3x3",
+                 "elementary:2^3", "elementary:3^2", "interval:2,2", "interval:2,3",
+                 "interval:3,2"]:
+        spec = groups.parse_set_spec(text)
+        reduced = distribution(spec, symmetry_reduction=True).row()
+        assert reduced == distribution(spec).row(), text
 
 
 def test_parallel_matches_serial():
