@@ -142,13 +142,11 @@ def _cmd_las(args) -> int:
         ordering = _parse_sequence(spec, args.sequence)
     else:
         raise _UsageError("las requires --sequence or --coords")
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = "orbit" if spec.is_group else "pairdp"
-    if algorithm == "orbit":
-        res = las.longest_ap_orbitwalk(ordering)
+    # auto is the default spelling of orbit, on every family
+    if args.algorithm == "pairdp":
+        algorithm, res = "pairdp", las.longest_ap_pairdp(ordering)
     else:
-        res = las.longest_ap_pairdp(ordering)
+        algorithm, res = "orbit", las.longest_ap_orbitwalk(ordering)
     result: dict = {"set": str(spec), "length": res.length, "algorithm": algorithm}
     if args.witness and res.base is not None:
         result["witness"] = {

@@ -68,8 +68,10 @@ def _lines(spec: AdditiveSetSpec) -> list:
     m >= 3 terms, a cycle walked as cyc + cyc[:-1] so that each of its
     cyclic windows is a slice of the line."""
     zero, lines = groups.identity(spec), []
+    box = not spec.is_group
     for r in counting._steps(spec):
-        if r > groups.add(spec, zero, r, -1):
+        # a box step with 2|r_c| >= n in some coordinate has no 3-term path
+        if r > groups.add(spec, zero, r, -1) and not (box and 2 * max(map(abs, r)) >= spec.n):
             for closed, walk in las.step_cycles(spec, r):
                 if len(walk) >= 3:
                     lines.append((len(walk), walk + walk[:-1] if closed else walk))

@@ -9,7 +9,7 @@ every x with that of x + w, and ANDs of its shifted copies mark the runs
 in order along x, x + w, ...  A rising run is a progression with step w, a
 falling run one with step -w.  length_of_indices gives the longest length,
 witness the smallest (base index, step) of that length, and
-longest_ap_orbitwalk is that witness for groups.  step_cycles walks
+longest_ap_orbitwalk is that witness for every family.  step_cycles walks
 x -> x + r over a successor table: the cycles of a group and the maximal
 paths inside a box, from which enumeration builds its lines.
 
@@ -150,16 +150,13 @@ def step_cycles(spec: AdditiveSetSpec, r: tuple) -> list[tuple[bool, list[int]]]
 
 
 def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
-    """Longest progression subsequence of an ordering of a group, with the
-    witness of the group's length engine.
+    """Longest progression subsequence of an ordering of a set of every
+    family, with the witness of the set's length engine.
 
-    Among equal-length witnesses, the smallest (base index, step index)
-    wins.  Raises CapExceeded above ENGINE_CAP elements.
+    Among equal-length witnesses, the smallest (base index, step) wins.
+    Raises CapExceeded above ENGINE_CAP elements.
     """
-    spec = ordering.spec
-    if not spec.is_group:
-        raise ValueError("orbit walk requires a group family; use the pair DP")
-    return _last_engine(spec).witness(ordering.indices)
+    return _last_engine(ordering.spec).witness(ordering.indices)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -465,6 +467,27 @@ def test_las_orbit_above_engine_cap_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "cap exceeded" in err
+
+
+def test_las_routes_print_the_same_box_witness(capsys):
+    # the default route and --algorithm orbit print the pair DP's bytes on
+    # boxes, label aside
+    orderings = [(f"interval:{n}", perm) for n in range(1, 6)
+                 for perm in itertools.permutations(range(n))]
+    rnd = random.Random(24)
+    for text, card in (("interval:3,2", 9), ("interval:2,3", 8), ("interval:40", 40)):
+        indices = list(range(card))
+        for _ in range(20):
+            rnd.shuffle(indices)
+            orderings.append((text, tuple(indices)))
+    for text, perm in orderings:
+        argv = ["las", "--set", text, "--sequence", ",".join(map(str, perm)),
+                "--witness", "--json"]
+        code, want, _ = run_main(capsys, *argv, "--algorithm", "pairdp")
+        assert code == 0
+        want = want.replace('"algorithm": "pairdp"', '"algorithm": "orbit"')
+        assert run_main(capsys, *argv) == (0, want, ""), (text, perm)
+        assert run_main(capsys, *argv, "--algorithm", "orbit") == (0, want, ""), (text, perm)
 
 
 def test_data_stream_is_pure_json():
