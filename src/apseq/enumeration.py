@@ -6,8 +6,9 @@ Distributions are tallied in blocks of orderings, not one ordering at a
 time.  A block holds each element's position in up to 5,040 orderings as
 one int with a byte lane per ordering, and bitwise operations along the
 set's lines find the longest monotone run, and so L, in every lane at once.
-The lines are the walks of las.step_cycles of one step of each pair
-{r, -r}: the maximal paths of a box and the cycles of a group.
+The lines are the walks of las.step_cycles along the steps of
+groups.step_classes, one of each pair {r, -r} that carries 3 or more
+terms: the maximal paths of a box and the cycles of a group.
 Symmetry reduction serves every family with one reducer: it tallies one
 ordering per orbit of the maps that keep progressions in order.
 """
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 
-from . import __version__, counting, groups, las
+from . import __version__, groups, las
 from .errors import CapExceeded, InternalInvariantError
 from .groups import CYCLIC, AdditiveSetSpec, Frozen
 
@@ -64,19 +65,15 @@ def _rank_columns(r: int, start: int = 0) -> tuple[bytes, ...]:
 
 def _lines(spec: AdditiveSetSpec) -> list:
     """Every line of the set as an (m, line) pair, longest first: line lists
-    the canonical indices x, x + r, ... of one walk of step r > -r with
-    m >= 3 terms, a cycle walked as cyc + cyc[:-1] so that each of its
-    cyclic windows is a slice of the line."""
-    zero, lines = groups.identity(spec), []
-    box = not spec.is_group
-    for r in counting._steps(spec):
-        # a box step with 2|r_c| >= n in some coordinate has no 3-term path
-        if r > groups.add(spec, zero, r, -1) and not (box and 2 * max(map(abs, r)) >= spec.n):
-            for closed, walk in las.step_cycles(spec, r):
-                if len(walk) >= 3:
-                    lines.append((len(walk), walk + walk[:-1] if closed else walk))
-    lines.sort(key=lambda item: item[0], reverse=True)
-    return lines
+    the canonical indices x, x + r, ... of one walk of m >= 3 terms of a
+    step r = u * v of groups.step_classes, a cycle walked as cyc + cyc[:-1]
+    so that each of its cyclic windows is a slice of the line."""
+    zero = groups.identity(spec)
+    walks = (las.step_cycles(spec, groups.add(spec, zero, v, u))
+             for _bound, v, units in groups.step_classes(spec) for u in units)
+    lines = [(len(walk), walk + walk[:-1] if closed else walk)
+             for cycles in walks for closed, walk in cycles if len(walk) >= 3]
+    return sorted(lines, key=lambda item: item[0], reverse=True)
 
 
 def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:

@@ -9,11 +9,13 @@ row-major strides, cardinality and coordinate origin, which every other
 module reads rather than re-deriving.  This module also owns the element
 codec and the ambient addition: canonical_index and element_at read
 coordinates row-major in spec.radixes from spec.origin (1 in a box, 0 in a
-group), and add(spec, x, r, times) forms x + times * r.
+group), add(spec, x, r, times) forms x + times * r, and step_classes lists
+the steps that carry progressions of 3 or more terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -379,6 +381,43 @@ def element_order(spec: AdditiveSetSpec, x: Element) -> int:
     for a, m in zip(x, spec.moduli):
         order = math.lcm(order, m // math.gcd(a, m))
     return order
+
+
+@functools.lru_cache(maxsize=None)
+def _half_units(m: int) -> tuple[int, ...]:
+    """The units u < m / 2 of Z/mZ."""
+    return tuple(u for u in range(1, (m + 1) // 2) if math.gcd(u, m) == 1)
+
+
+def step_classes(spec: AdditiveSetSpec) -> list[tuple[int, Element, tuple[int, ...]]]:
+    """The steps that carry progressions of 3 or more terms, as (bound, v,
+    units) triples in the order of v: the steps u * v, u in units, are one
+    of each pair {w, -w}, and bound is the most terms along any of them.  A
+    group has one per cyclic subgroup <v> of order m >= 3, v its generator
+    of least index, units the units below m / 2 (so 2 * len(units) = phi(m))
+    and bound m.  A box has (1 + (n - 1) // max|v_i|, v, (1,)) for each
+    v > 0 (first nonzero coordinate positive) with every |v_i| <= (n - 1) / 2.
+    """
+    if spec.family == INTERVAL:
+        half, origin = (spec.n - 1) // 2, (0,) * spec.d
+        steps = itertools.product(range(-half, half + 1), repeat=spec.d)
+        return [(1 + (spec.n - 1) // max(map(abs, v)), v, (1,)) for v in steps if v > origin]
+    done, classes = bytearray(spec.cardinality), []
+    for step_idx in range(1, spec.cardinality):
+        if done[step_idx]:
+            continue
+        v = element_at(spec, step_idx)
+        m = element_order(spec, v)
+        if m < 3:
+            continue
+        units = _half_units(m)
+        classes.append((m, v, units))
+        # the generators u * v and -(u * v) of <v> need no triple of their own
+        digits = list(zip(v, spec.moduli, spec.strides))
+        for u in units:
+            for t in (u, m - u):
+                done[sum(t * a % mc * w for a, mc, w in digits)] = 1
+    return classes
 
 
 def canonical_index(spec: AdditiveSetSpec, x: Element) -> int:

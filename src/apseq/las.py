@@ -3,10 +3,10 @@ algorithms, plus exact counting of k-term progression subsequences.
 
 Both algorithms take an ordering as canonical indices.  The length engine
 of a set (length_engine) serves every ordering of one spec, for groups and
-interval boxes alike.  It keeps one step w of each pair {w, -w} and scans
-in bit lanes over the set's elements: one int compares the position of
-every x with that of x + w, and ANDs of its shifted copies mark the runs
-in order along x, x + w, ...  A rising run is a progression with step w, a
+interval boxes alike.  It scans the steps w of groups.step_classes in bit
+lanes over the set's elements: one int compares the position of every x
+with that of x + w, and ANDs of its shifted copies mark the runs in order
+along x, x + w, ...  A rising run is a progression with step w, a
 falling run one with step -w.  length_of_indices gives the longest length,
 witness the smallest (base index, step) of that length, and
 longest_ap_orbitwalk is that witness for every family.  step_cycles walks
@@ -19,8 +19,9 @@ uses no lines, cycles or closed forms, and is the engines' oracle for every
 family.
 
 N_k, the number of k-term progression subsequences, counts the tuples of
-progression_index_tuples, built from successor tables in groups and
-row-major strides in boxes, that appear in order.  count_in_order checks
+progression_index_tuples that appear in order: read forward and backward
+along each step of groups.step_classes that carries k terms, from successor
+tables in groups and row-major strides in boxes.  count_in_order checks
 them in one ordering; count_in_orders checks them in many orderings at once,
 one 16-bit lane per ordering, and count_in_order is its oracle.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import sys
 from collections.abc import Sequence
 from operator import itemgetter
@@ -38,7 +38,9 @@ from . import counting, groups
 from .errors import CapExceeded, InternalInvariantError
 from .groups import INTERVAL, AdditiveSetSpec, Frozen
 
-PAIR_DP_CAP = 5000
+# The pair DP keeps |A|^2 / 2 step keys: its address space peaks at 190 MB
+# (interval:3000) to 320 MB (abelian:2x1500) here, 480 MB at interval:5000.
+PAIR_DP_CAP = 3000
 # A scan keeps one 16-bit lane per element, positions staying below its
 # guard bit.
 ENGINE_CAP = 5000
@@ -261,43 +263,40 @@ def _decode_step(spec: AdditiveSetSpec, key: int) -> tuple:
 
 
 def progression_index_tuples(spec: AdditiveSetSpec, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every progression k-ordering of the set, as canonical-index tuples,
-    step by step in the order of counting.iter_progressions.
+    """Every progression k-ordering of the set, as canonical-index tuples.
 
-    A group step r counts when its first k - 1 multiples are nonzero, and
-    its tuples read the successor table of x -> x + r k - 1 times over.  A
-    box step v keeps the bases whose last term stays inside, a row-major
-    product of one range per coordinate, each tuple striding by v's index
-    delta.
+    k = 2 gives every ordered pair of distinct indices.  Otherwise each step
+    w of groups.step_classes with bound k or more gives k columns of terms,
+    read forward for step w and backward for -w: in a group, k - 1 reads of
+    the successor table of x -> x + w; in a box, the bases whose last term
+    stays inside, a row-major product of one range per coordinate, striding
+    by w's index delta.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     counting.check_enum_cap(spec)
     card = spec.cardinality
+    if k == 2:
+        return tuple(itertools.permutations(range(card), 2))
+    box = spec.family == INTERVAL
+    n, strides, zero = spec.n, spec.strides, groups.identity(spec)
     out: list[tuple[int, ...]] = []
-    if spec.family != INTERVAL:
-        for r in counting._steps(spec):
-            succ = counting._succ_table(spec, r)
-            cols = [range(card)]
-            for _ in range(k - 1):
-                cols.append([*map(succ.__getitem__, cols[-1])])
-                if cols[-1][0] == 0:  # order of r below k
-                    break
+    for _bound, v, units in (c for c in groups.step_classes(spec) if c[0] >= k):
+        for u in units:
+            if box:
+                bases = [0]
+                for c, s in zip(v, strides):
+                    span = range(max(0, -(k - 1) * c), min(n, n - (k - 1) * c))
+                    bases = [b + x * s for b in bases for x in span]
+                delta = sum(c * s for c, s in zip(v, strides))
+                cols = [[b + t * delta for b in bases] for t in range(k)]
             else:
-                out += zip(*cols)
-        return tuple(out)
-    n, d, strides = spec.n, spec.d, spec.strides
-    reach = (n - 1) // (k - 1)  # no coordinate of a step moves further
-    origin = (0,) * d
-    for v in itertools.product(range(-reach, reach + 1), repeat=d):
-        if v == origin:
-            continue
-        bases = [0]
-        for c, s in zip(v, strides):
-            span = range(max(0, -(k - 1) * c), min(n, n - (k - 1) * c))
-            bases = [b + x * s for b in bases for x in span]
-        delta = sum(c * s for c, s in zip(v, strides))
-        out += zip(*[[b + t * delta for b in bases] for t in range(k)])
+                succ = counting._succ_table(spec, groups.add(spec, zero, v, u))
+                cols = [range(card)]
+                for _ in range(k - 1):
+                    cols.append([*map(succ.__getitem__, cols[-1])])
+            out += zip(*cols)
+            out += zip(*cols[::-1])
     return tuple(out)
 
 
@@ -431,9 +430,9 @@ _MASKS_KEPT = 256
 class _LaneEngine:
     """Set-up, lane scan and witness shared by both length engines.
 
-    Each engine lists its (bound, step or subgroup) pairs as todo, bound
-    capping the terms of a progression along the step; its _steps_of turns
-    an item into lane steps (w, -w, how to shift by w).  A scan puts the
+    Each engine reads its (bound, v, units) triples from groups.step_classes,
+    bound capping the terms along the steps u * v; its _steps_of turns a
+    triple into lane steps (w, -w, how to shift by w).  A scan puts the
     position of element x in 16-bit lane x of one int, with guard bit
     G = 0x8000 free as in count_in_orders.  For each step, _ones shifts the
     int so that lane x holds lane x + w, and _compare reads one bit per
@@ -444,12 +443,11 @@ class _LaneEngine:
     the runs of c + 1 terms.
     """
 
-    def __init__(self, spec: AdditiveSetSpec, todo: list):
+    def __init__(self, spec: AdditiveSetSpec):
         self.spec = spec
         self.card = card = spec.cardinality
         self._pos = [0] * card
-        todo.sort(key=itemgetter(0))
-        self._todo = todo
+        self._todo = sorted(groups.step_classes(spec), key=itemgetter(0))
         self._steps = None
         self._masks: dict = {}
 
@@ -461,8 +459,8 @@ class _LaneEngine:
             self._guard = int.from_bytes(b"\0\x80" * card, "little")
             self._all = (1 << card) - 1
             self._halves = self._all | self._all << 2 * card
-            self._steps = [(bound, step) for bound, item in reversed(self._todo)
-                           for step in self._steps_of(bound, item)]
+            self._steps = [(bound, step) for bound, v, units in reversed(self._todo)
+                           for step in self._steps_of(v, units)]
         return self._steps
 
     def _mask(self, key, build) -> int:
@@ -570,49 +568,25 @@ class _LaneEngine:
         return LasResult(best, base, step, indices)
 
 
-@functools.lru_cache(maxsize=None)
-def _half_units(m: int) -> tuple[int, ...]:
-    """The units u < m / 2 of Z/mZ."""
-    return tuple(u for u in range(1, (m + 1) // 2) if math.gcd(u, m) == 1)
-
-
 class GroupLengthEngine(_LaneEngine):
     """Length engine, reusable across many orderings of one group spec.
 
-    The constructor finds each cyclic subgroup <v> of order m >= 3 by its
-    smallest generator; order-2 subgroups only give 2-term progressions,
+    groups.step_classes lists each cyclic subgroup <v> of order m >= 3 by
+    its smallest generator; order-2 subgroups only give 2-term progressions,
     which every set of two or more elements has.  The lane steps are u * v
-    for each unit u < m / 2, with bound m.  Lane x + w is lane x with each
-    coordinate c rotated by w_c within its blocks of m_c * stride_c lanes.
-    A run never passes m - 1 comparisons, as m would close the cycle.
+    for each unit u < m / 2, with bound m, expanded on the first scan.  Lane
+    x + w is lane x with each coordinate c rotated by w_c within its blocks
+    of m_c * stride_c lanes.  A run never passes m - 1 comparisons, as m
+    would close the cycle.
 
     length_of_indices(idx_seq) fills the position buffer, pos[canonical
     index] = position, and scans it with length_of_positions(pos).
     """
 
-    def __init__(self, spec: AdditiveSetSpec):
-        card = spec.cardinality
-        done = bytearray(card)
-        todo = []
-        for step_idx in range(1, card):
-            if done[step_idx]:
-                continue
-            v = groups.element_at(spec, step_idx)
-            m = groups.element_order(spec, v)
-            if m < 3:
-                continue
-            todo.append((m, v))
-            # the generators u * v and -(u * v) of <v> need no entry of their own
-            digits = list(zip(v, spec.moduli, spec.strides))
-            for u in _half_units(m):
-                for t in (u, m - u):
-                    done[sum(t * a % mc * w for a, mc, w in digits)] = 1
-        super().__init__(spec, todo)
-
-    def _steps_of(self, m: int, v: tuple) -> list:
+    def _steps_of(self, v: tuple, units: tuple) -> list:
         moduli, strides = self.spec.moduli, self.spec.strides
         steps = []
-        for u in _half_units(m):
+        for u in units:
             w = tuple(u * a % mc for a, mc in zip(v, moduli))
             turns = tuple((c, a, mc, s) for c, (a, mc, s) in enumerate(zip(w, moduli, strides)) if a)
             steps.append((w, tuple(-a % mc for a, mc in zip(w, moduli)), turns))
@@ -667,25 +641,13 @@ class GroupLengthEngine(_LaneEngine):
 class IntervalLengthEngine(_LaneEngine):
     """Length engine for interval boxes, on canonical index sequences.
 
-    The lane steps are one step v of each pair {v, -v} (first nonzero
-    coordinate positive) with every |v_i| <= (n - 1) / 2, with bound
-    1 + (n - 1) // max|v_i|, the most terms of a path of step v in the box.
-    Lane x + v is lane x shifted by v's index delta, which is positive; the
-    bits of the x whose x + v leaves the box are dropped, so a run from x
-    stays inside it.
+    The lane steps are the v of groups.step_classes, whose bound is the most
+    terms of a path of step v in the box.  Lane x + v is lane x shifted by
+    v's index delta, which is positive; the bits of the x whose x + v leaves
+    the box are dropped, so a run from x stays inside it.
     """
 
-    def __init__(self, spec: AdditiveSetSpec):
-        n, d = spec.n, spec.d
-        half = (n - 1) // 2
-        if d == 1:
-            steps = [(v,) for v in range(1, half + 1)]
-        else:
-            origin = (0,) * d
-            steps = [v for v in itertools.product(range(-half, half + 1), repeat=d) if v > origin]
-        super().__init__(spec, [(1 + (n - 1) // max(map(abs, v)), v) for v in steps])
-
-    def _steps_of(self, bound: int, v: tuple) -> list:
+    def _steps_of(self, v: tuple, units: tuple) -> list:
         delta = sum(c * s for c, s in zip(v, self.spec.strides))
         return [(v, tuple(-c for c in v), delta)]
 

@@ -26,7 +26,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # estimate_Nk_mean keeps every progression k-ordering as an index tuple, in
 # each pool worker: count * k entries.  4 * 10^6 entries admit cyclic:1000 at
-# k = 3 (2,994,000 entries, about 140 MB).
+# k = 3 (2,994,000 entries: 108 MB held, 116 MB at the peak of building them).
 NK_ENTRY_BUDGET = 4 * 10**6
 # Most orderings one Monte Carlo experiment draws (simulate exits 2 above
 # it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.

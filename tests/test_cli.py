@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from apseq import cli
+from apseq import cli, las
 from apseq.errors import InternalInvariantError
 
 
@@ -298,6 +298,21 @@ def test_simulate_above_engine_cap_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "cap exceeded" in err
+
+
+def test_las_pairdp_above_its_cap_exit_code(capsys):
+    # the first size above the pair DP's cap is refused before any row or
+    # dict is built, where the pair DP itself would need hundreds of MB
+    card = las.PAIR_DP_CAP + 1
+    seq = list(range(card))
+    random.Random(1).shuffle(seq)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "las", "--set", f"interval:{card}", "--sequence",
+                              ",".join(map(str, seq)), "--algorithm", "pairdp")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err and "pair DP" in err
 
 
 def test_unexpected_exception_exit_code(capsys, monkeypatch):

@@ -162,6 +162,60 @@ def test_order_counts_match_totient():
             assert tallies.get(j, 0) == expected
 
 
+def _coordinate_walk(spec, x, w):
+    """The walk x, x + w, ... added up coordinate by coordinate, stopping
+    before a term outside the box or a repeated term."""
+    walk = []
+    while groups.is_valid_element(spec, x) and x not in walk:
+        walk.append(x)
+        x = tuple(a + b for a, b in zip(x, w))
+        if spec.is_group:
+            x = tuple(a % m for a, m in zip(x, spec.moduli))
+    return walk
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:12", "interval:1", "interval:2", "interval:3",
+     "interval:8", "interval:3,2", "interval:4,3", "elementary:2^3", "elementary:3^2",
+     "abelian:2x6", "abelian:2x6x12"],
+)
+def test_step_classes_list_each_long_step_once(text):
+    spec = parse_set_spec(text)
+    if spec.is_group:
+        zero = groups.identity(spec)
+        candidates = [w for w in elements(spec) if w != zero]
+    else:
+        candidates = [w for w in itertools.product(range(1 - spec.n, spec.n), repeat=spec.d)
+                      if any(w)]
+    # the steps whose longest walk has 3 or more terms, with that length
+    want = {}
+    for w in candidates:
+        longest = max(len(_coordinate_walk(spec, x, w)) for x in elements(spec))
+        if longest >= 3:
+            want[w] = longest
+    got = {}
+    for bound, v, units in groups.step_classes(spec):
+        for u in units:
+            if spec.is_group:
+                w = tuple(u * a % m for a, m in zip(v, spec.moduli))
+                pair = (w, tuple(-a % m for a, m in zip(w, spec.moduli)))
+            else:
+                assert units == (1,)
+                w = v
+                pair = (w, tuple(-a for a in w))
+            for step in pair:
+                assert step not in got, (text, step)
+                got[step] = bound
+        if spec.is_group:
+            # the generators of <v>: the multiples of v whose walk from 0
+            # passes through all of <v>
+            cycle = _coordinate_walk(spec, zero, v)
+            gens = [y for y in cycle if len(_coordinate_walk(spec, zero, y)) == len(cycle)]
+            assert 2 * len(units) == len(gens), (text, v)
+    assert got == want
+
+
 def test_parse_set_spec_roundtrip():
     for text in ["interval:10,2", "interval:7", "cyclic:9", "abelian:2x4x8", "elementary:3^2"]:
         spec = parse_set_spec(text)
