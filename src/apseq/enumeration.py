@@ -55,6 +55,12 @@ class DistributionTable(Frozen):
         return list(self.counts[1:])
 
 
+@functools.lru_cache(maxsize=16)
+def _lane_ones(lanes: int) -> int:
+    """The int with a 1 at the bottom of each of lanes byte lanes."""
+    return int.from_bytes(b"\x01" * lanes, "little")
+
+
 @functools.lru_cache(maxsize=None)
 def _rank_columns(r: int, start: int = 0) -> tuple[bytes, ...]:
     """The r! permutations of range(start, start + r), in order, as r
@@ -90,7 +96,7 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
     a run of k terms, and the difference of consecutive lane counts is the
     number of orderings whose longest run has exactly k terms.
     """
-    guard = 0x80 * las.lane_ones(lanes, 8)
+    guard = 0x80 * _lane_ones(lanes)
     reached = [0, 0, guard]  # every ordering has a 2-term progression
     for m, line in lines:
         terms = [cols[x] for x in line]
@@ -130,7 +136,7 @@ def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
     head, tail = free[:extra], free[extra:]
     ranks = _rank_columns(len(tail))
     lanes = math.factorial(len(tail))
-    ones = las.lane_ones(lanes, 8)
+    ones = _lane_ones(lanes)
     cols = [0] * card
     for x, p in fixed.items():
         cols[x] = p * ones
@@ -317,20 +323,9 @@ def three_free_count(n: int) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=64)
-def _three_term_index_triples(spec: AdditiveSetSpec) -> tuple[tuple[int, int, int], ...]:
-    return las.progression_index_tuples(spec, 3)
-
-
 def is_three_free(ordering: las.Ordering) -> bool:
     """No 3-term progression subsequence appears in the ordering."""
-    if len(ordering) < 3:
-        return True
-    pos = ordering.positions()
-    for a, b, c in _three_term_index_triples(ordering.spec):
-        if pos[a] < pos[b] < pos[c]:
-            return False
-    return True
+    return len(ordering) < 3 or las.count_k_subsequences(ordering, 3) == 0
 
 
 def _assemble_three_free(

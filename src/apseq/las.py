@@ -18,12 +18,10 @@ each position from a row of differences over all canonical indices; it
 uses no lines, cycles or closed forms, and is the engines' oracle for every
 family.
 
-N_k, the number of k-term progression subsequences, counts the tuples of
-progression_index_tuples that appear in order: read forward and backward
-along each step of groups.step_classes that carries k terms, from successor
-tables in groups and row-major strides in boxes.  count_in_order checks
-them in one ordering; count_in_orders checks them in many orderings at once,
-one 16-bit lane per ordering, and count_in_order is its oracle.
+N_k, the number of k-term progression subsequences, is counted by the
+same engine (count_of_indices): each set bit of a step's run of k - 1
+comparisons is one progression in order.  count_in_order, which checks
+index tuples one by one, is its oracle.
 """
 
 from __future__ import annotations
@@ -163,8 +161,9 @@ def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
 
 @functools.lru_cache(maxsize=32)
 def _last_engine(spec: AdditiveSetSpec):
-    """The length engines of the last 32 sets the orbit walk saw.  An engine
-    keeps its steps and at most _MASKS_KEPT masks."""
+    """The length engines of the last 32 sets the orbit walk and
+    count_k_subsequences saw.  An engine keeps its steps and at most
+    _MASKS_KEPT masks."""
     return length_engine(spec)
 
 
@@ -262,162 +261,24 @@ def _decode_step(spec: AdditiveSetSpec, key: int) -> tuple:
     return tuple(c - spec.n for c in groups.element_at(keys, key))
 
 
-def progression_index_tuples(spec: AdditiveSetSpec, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every progression k-ordering of the set, as canonical-index tuples.
-
-    k = 2 gives every ordered pair of distinct indices.  Otherwise each step
-    w of groups.step_classes with bound k or more gives k columns of terms,
-    read forward for step w and backward for -w: in a group, k - 1 reads of
-    the successor table of x -> x + w; in a box, the bases whose last term
-    stays inside, a row-major product of one range per coordinate, striding
-    by w's index delta.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    counting.check_enum_cap(spec)
-    card = spec.cardinality
-    if k == 2:
-        return tuple(itertools.permutations(range(card), 2))
-    box = spec.family == INTERVAL
-    n, strides, zero = spec.n, spec.strides, groups.identity(spec)
-    out: list[tuple[int, ...]] = []
-    for _bound, v, units in (c for c in groups.step_classes(spec) if c[0] >= k):
-        for u in units:
-            if box:
-                bases = [0]
-                for c, s in zip(v, strides):
-                    span = range(max(0, -(k - 1) * c), min(n, n - (k - 1) * c))
-                    bases = [b + x * s for b in bases for x in span]
-                delta = sum(c * s for c, s in zip(v, strides))
-                cols = [[b + t * delta for b in bases] for t in range(k)]
-            else:
-                succ = counting._succ_table(spec, groups.add(spec, zero, v, u))
-                cols = [range(card)]
-                for _ in range(k - 1):
-                    cols.append([*map(succ.__getitem__, cols[-1])])
-            out += zip(*cols)
-            out += zip(*cols[::-1])
-    return tuple(out)
-
-
 def count_in_order(progs, idx_seq: Sequence[int]) -> int:
     """Number of index tuples in progs whose terms appear in increasing
-    positions of the ordering idx_seq (canonical indices)."""
+    positions of the ordering idx_seq (canonical indices): the oracle of the
+    engines' N_k, fed from counting.iter_progressions."""
     pos = [0] * len(idx_seq)
     for where, idx in enumerate(idx_seq):
         pos[idx] = where
-    count = 0
-    k = len(progs[0]) if progs else 0
-    # the common k = 3 and 4: one unpacked, chained compare per tuple
-    if k == 3:
-        for a, b, c in progs:
-            if pos[a] < pos[b] < pos[c]:
-                count += 1
-        return count
-    if k == 4:
-        for a, b, c, e in progs:
-            if pos[a] < pos[b] < pos[c] < pos[e]:
-                count += 1
-        return count
-    for terms in progs:
-        p = pos[terms[0]]
-        for t in terms[1:]:
-            q = pos[t]
-            if q <= p:
-                break
-            p = q
-        else:
-            count += 1
-    return count
-
-
-@functools.lru_cache(maxsize=16)
-def lane_ones(lanes: int, width: int) -> int:
-    """The int with a 1 at the bottom of each of lanes width-bit lanes."""
-    return int.from_bytes(b"\x01".ljust(width // 8, b"\0") * lanes, "little")
-
-
-def lane_columns(seqs) -> tuple[list[int], int]:
-    """Each element's positions in the orderings of seqs (canonical indices,
-    all of one set) as one int per element, and the number of orderings.
-
-    Lane i, 16 bits from bit 16 * i, of the int of element x holds the
-    position of x in the i-th ordering.  Positions stay below 2^15, so the
-    top bit of each lane is free as a guard bit.  seqs may be any iterable;
-    each ordering is packed as it is read.
-    """
-    rows = bytearray()
-    card = 0
-    for seq in seqs:
-        card = len(seq)
-        pos = memoryview(bytearray(2 * card)).cast("H")
-        for where, idx in enumerate(seq):
-            pos[idx] = where
-        rows += pos
-    assert card <= 1 << 15, "positions would reach the guard bit"
-    # the lanes are native-order items; their bytes read back in that order
-    flat = memoryview(rows).cast("H")
-    cols = [int.from_bytes(flat[x::card], sys.byteorder) for x in range(card)]
-    return cols, len(flat) // card if card else 0
-
-
-# A 16-bit lane counts at most 65,535 tuples before count_in_orders must
-# flush it.
-_LANE_FLUSH = 0xFFFF
-
-
-def count_in_orders(progs, seqs) -> list[int]:
-    """count_in_order(progs, seq) for each ordering seq of seqs, in one pass
-    over progs.
-
-    Each element's positions are packed by lane_columns into 16-bit lanes
-    with guard bit G = 0x8000.  ((col_b | G) - col_a) & G sets G in the
-    lanes where b comes after a, and no lane borrows from the next; ANDing
-    a tuple's k - 1 comparisons leaves G in the lanes that hold it in
-    order.  mask >> 15 adds 1 to those lanes of a 16-bit accumulator,
-    which is flushed into per-lane ints every _LANE_FLUSH tuples.
-    """
-    cols, lanes = lane_columns(seqs)
-    counts = [0] * lanes
-    if not progs or not lanes:
-        return counts
-    guard = 0x8000 * lane_ones(lanes, 16)
-    high = [c | guard for c in cols]
-    k = len(progs[0])
-    for start in range(0, len(progs), _LANE_FLUSH):
-        part = progs[start : start + _LANE_FLUSH]
-        acc = 0
-        # the common k = 3 and 4 unrolled, as in count_in_order: x1.6-1.7
-        # faster than the general loop at 150 lanes, x2.4-3.7 at 1-4 lanes
-        if k == 3:
-            for a, b, c in part:
-                acc += (guard & (high[b] - cols[a]) & (high[c] - cols[b])) >> 15
-        elif k == 4:
-            for a, b, c, e in part:
-                acc += (
-                    guard & (high[b] - cols[a]) & (high[c] - cols[b]) & (high[e] - cols[c])
-                ) >> 15
-        else:
-            for terms in part:
-                mask = guard
-                for a, b in zip(terms, terms[1:]):
-                    mask &= high[b] - cols[a]
-                    if not mask:
-                        break
-                acc += mask >> 15
-        lane_counts = memoryview(acc.to_bytes(2 * lanes, sys.byteorder)).cast("H")
-        counts = [n + c for n, c in zip(counts, lane_counts)]
-    return counts
+    return sum(all(pos[a] < pos[b] for a, b in zip(t, t[1:])) for t in progs)
 
 
 def count_k_subsequences(ordering: Ordering, k: int) -> int:
-    """Exact number of k-term progression subsequences of the ordering."""
+    """Exact number of k-term progression subsequences of the ordering.
+    Raises CapExceeded above ENGINE_CAP elements."""
     spec = ordering.spec
     card = spec.cardinality
     if k < 2 or k > card:
         raise ValueError(f"k must be in [2, {card}], got {k}")
-    progs = progression_index_tuples(spec, k)
-    return count_in_order(progs, ordering.indices)
+    return _last_engine(spec).count_of_indices(ordering.indices, k)
 
 
 # A lane's guard bit leaves 0x80 or 0 in its high byte: read as a binary digit
@@ -434,13 +295,14 @@ class _LaneEngine:
     bound capping the terms along the steps u * v; its _steps_of turns a
     triple into lane steps (w, -w, how to shift by w).  A scan puts the
     position of element x in 16-bit lane x of one int, with guard bit
-    G = 0x8000 free as in count_in_orders.  For each step, _ones shifts the
-    int so that lane x holds lane x + w, and _compare reads one bit per
-    element, set where x + w comes later; the bits where x + w is in the set
-    but earlier are their complement.  Both are packed as one int, rising
-    bits from bit 0 and falling ones from bit 2|A|, which _shift moves by a
-    multiple of w.  The AND of the bits shifted by 0, w, ..., (c - 1)w marks
-    the runs of c + 1 terms.
+    G = 0x8000 free, as positions stay below 2^15.  For each step, _ones
+    shifts the int so that lane x holds lane x + w, and _compare reads one
+    bit per element, set where x + w comes later; the bits where x + w is in
+    the set but earlier are their complement.  Both are packed as one int,
+    rising bits from bit 0 and falling ones from bit 2|A|, which _shift
+    moves by a multiple of w.  The AND of the bits shifted by 0, w, ...,
+    (c - 1)w marks the runs of c + 1 terms: each set bit is one progression
+    of c + 1 terms in order, along w (rising) or -w (falling).
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -531,11 +393,30 @@ class _LaneEngine:
     def length_of_positions(self, pos: Sequence[int]) -> int:
         return self._scan(pos)[0] if self.card > 1 else 1
 
-    def length_of_indices(self, idx_seq: Sequence[int]) -> int:
+    def _positions(self, idx_seq: Sequence[int]) -> list[int]:
+        """The engine's buffer filled with pos[canonical index] = position."""
         pos = self._pos
         for where, idx in enumerate(idx_seq):
             pos[idx] = where
-        return self.length_of_positions(pos)
+        return pos
+
+    def length_of_indices(self, idx_seq: Sequence[int]) -> int:
+        return self.length_of_positions(self._positions(idx_seq))
+
+    def count_of_indices(self, idx_seq: Sequence[int], k: int) -> int:
+        """N_k of the ordering idx_seq: its k-term progressions in order.
+        Every pair is one in exactly one direction; for k >= 3 it is the
+        number of runs of k - 1 comparisons over the steps with bound k or
+        more."""
+        if k == 2:
+            return self.card * (self.card - 1) // 2
+        lanes = self._lanes(self._positions(idx_seq))
+        count = 0
+        for bound, step in self._lane_steps():
+            if bound < k:
+                break
+            count += self._run(step, self._ones(step, lanes), k - 1).bit_count()
+        return count
 
     def witness(self, idx_seq: Sequence[int]) -> LasResult:
         """Longest progression of the ordering idx_seq with its witness:
@@ -548,9 +429,7 @@ class _LaneEngine:
         spec = self.spec
         if self.card == 1:
             return _singleton_result()
-        pos = self._pos
-        for where, idx in enumerate(idx_seq):
-            pos[idx] = where
+        pos = self._positions(idx_seq)
         best, key = self._scan(pos, ties=True)
         at = functools.partial(groups.element_at, spec)
         add = functools.partial(groups.add, spec)

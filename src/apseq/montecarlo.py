@@ -7,10 +7,9 @@ Each sample draws from its own substream derived from (seed, sample index),
 so results are bit-identical no matter how samples are distributed across
 workers.
 
-N_k samples are counted in blocks, one lane per ordering, by
-las.count_in_orders; a chunk of fewer than _NK_MIN_LANES samples counts
-each ordering by las.count_in_order, the per-ordering route.  Both give the
-same integers, so the statistics do not depend on the route.
+Every experiment scans its samples with the set's length engine
+(las.length_engine), N_k samples included, one ordering at a time; so
+ExperimentConfig refuses sets above las.ENGINE_CAP before any sampling.
 """
 
 from __future__ import annotations
@@ -24,20 +23,9 @@ from .groups import AdditiveSetSpec, Frozen
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# estimate_Nk_mean keeps every progression k-ordering as an index tuple, in
-# each pool worker: count * k entries.  4 * 10^6 entries admit cyclic:1000 at
-# k = 3 (2,994,000 entries: 108 MB held, 116 MB at the peak of building them).
-NK_ENTRY_BUDGET = 4 * 10**6
 # Most orderings one Monte Carlo experiment draws (simulate exits 2 above
 # it); exhaustive enumeration runs 10! = 3,628,800 orderings serially.
 SAMPLE_CAP = 10**7
-# _nk_chunk counts at most this many orderings in one las.count_in_orders
-# call: each element's column then holds 1 KB of 16-bit lanes.
-_NK_LANES = 512
-# Below this many samples a chunk counts one ordering at a time: on cyclic:1000
-# at k = 3 the lane kernel takes x2.7, x1.6 and x1.2 the scalar loop's time at
-# one, two and three lanes, and x0.8 at four.
-_NK_MIN_LANES = 4
 
 
 def _fmix64(z: int) -> int:
@@ -122,6 +110,8 @@ class ExperimentConfig(Frozen):
             raise ValueError("samples must be >= 1")
         if samples > SAMPLE_CAP:
             raise CapExceeded(f"samples capped at {SAMPLE_CAP}")
+        if spec.cardinality > las.ENGINE_CAP:
+            raise CapExceeded(f"sampling runs length engines, capped at |A| <= {las.ENGINE_CAP}")
         _set(self, "spec", spec)
         _set(self, "samples", samples)
         _set(self, "seed", seed)
@@ -143,20 +133,10 @@ class SubseqCountStats(Frozen):
 
 def _nk_chunk(args) -> list[int]:
     spec, seed, start, stop, k = args
-    progs = las.progression_index_tuples(spec, k)
+    count_of = las.length_engine(spec).count_of_indices
     card = spec.cardinality
-    if stop - start < _NK_MIN_LANES:
-        return [
-            las.count_in_order(progs, _shuffled_indices(card, substream(seed, i)))
-            for i in range(start, stop)
-        ]
-    blocks = -(-(stop - start) // _NK_LANES)
-    size = -(-(stop - start) // blocks)  # blocks of near-equal size
-    out: list[int] = []
-    for a in range(start, stop, size):
-        seqs = (_shuffled_indices(card, substream(seed, i)) for i in range(a, min(a + size, stop)))
-        out += las.count_in_orders(progs, seqs)
-    return out
+    return [count_of(_shuffled_indices(card, substream(seed, i)), k)
+            for i in range(start, stop)]
 
 
 def _map_chunks(worker, config: ExperimentConfig, parallel: int | None, *extra) -> list:
@@ -183,11 +163,6 @@ def estimate_Nk_mean(
         raise ValueError("config.k is required")
     spec, m, k = config.spec, config.samples, config.k
     count = counting.count_for_set(spec, k).exact
-    if count * k > NK_ENTRY_BUDGET:
-        raise CapExceeded(
-            f"{spec} has {count} progression {k}-orderings ({count * k} terms); "
-            f"N_k sampling is capped at {NK_ENTRY_BUDGET} stored terms"
-        )
     values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]
 
     # integer sums keep the statistics independent of chunking

@@ -292,12 +292,23 @@ def test_brute_count_above_pair_budget_exit_code(capsys):
     assert "cap exceeded" in err and "brute force" in err
 
 
-def test_simulate_above_engine_cap_exit_code(capsys):
+def test_simulate_above_engine_cap_exit_code(capsys, monkeypatch):
     code, out, err = run_main(capsys, "simulate", "--set", "cyclic:5001", "--samples", "1",
                               "--seed", "1")
     assert code == 2
     assert out == ""
     assert "cap exceeded" in err
+
+    # refused before a pool starts, in every mode
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started above the engine cap")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for mode in ("--histogram", "--coverage"):
+        code, out, err = run_main(capsys, "simulate", "--set", "interval:5001", "--samples", "4",
+                                  "--seed", "1", "--parallel", "2", mode)
+        assert (code, out) == (2, "")
+        assert "cap exceeded" in err and str(las.ENGINE_CAP) in err
 
 
 def test_las_pairdp_above_its_cap_exit_code(capsys):
@@ -606,20 +617,29 @@ def test_readme_commands_import_no_dataclasses_inspect_or_typing():
     assert {argv: mods for argv, mods in seen.items() if mods} == {}
 
 
-@pytest.mark.parametrize("spec, k", [("cyclic:3000", "3"), ("cyclic:1000", "1000")])
-def test_simulate_nk_above_tuple_budget_exit_code(spec, k, capsys, monkeypatch):
-    # cyclic:1000 at k = 1000 has only 400,000 tuples, but 4 * 10^8 stored terms
+@pytest.mark.parametrize("spec", [f"cyclic:{las.ENGINE_CAP + 1}", f"interval:{las.ENGINE_CAP + 1}"])
+def test_simulate_nk_above_engine_cap_exit_code(spec, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("sampling started above the tuple budget")
+        raise AssertionError("sampling started above the engine cap")
 
     monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
     start = time.perf_counter()
-    code, out, err = run_main(capsys, "simulate", "--set", spec, "--k", k,
+    code, out, err = run_main(capsys, "simulate", "--set", spec, "--k", "3",
                               "--samples", "2", "--seed", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "cap exceeded" in err and str(cli.montecarlo.NK_ENTRY_BUDGET) in err
+    assert "cap exceeded" in err and str(las.ENGINE_CAP) in err
+
+
+def test_simulate_nk_at_full_length_runs(capsys):
+    # 400,000 progressions of 1000 terms, none in order in either sample
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, "simulate", "--set", "cyclic:1000", "--k", "1000",
+                            "--samples", "2", "--seed", "1", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["result"]["mean"] == 0.0
 
 
 def test_simulate_nk_zero_count_skips_factorial(capsys):

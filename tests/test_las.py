@@ -14,12 +14,10 @@ from apseq.las import (
     PAIR_DP_CAP,
     Ordering,
     count_in_order,
-    count_in_orders,
     count_k_subsequences,
     length_engine,
     longest_ap_orbitwalk,
     longest_ap_pairdp,
-    progression_index_tuples,
 )
 
 try:
@@ -255,24 +253,54 @@ def _k_max(spec):
     return spec.n if spec.family == groups.INTERVAL else spec.exponent
 
 
+def _index_tuples(spec, k):
+    # the oracle's progressions: counting's walker, which reads counting._steps
+    # and not groups.step_classes as the engines do
+    index = {groups.element_at(spec, i): i for i in range(spec.cardinality)}
+    return [tuple(map(index.__getitem__, terms)) for _ap, terms in iter_progressions(spec, k)]
+
+
+def _oracle_orderings(card, seed):
+    # the identity and its reverse, then 5 seeded shuffles
+    rnd = random.Random(seed)
+    seqs = [list(range(card)), list(range(card))[::-1]]
+    for _ in range(5):
+        seq = list(range(card))
+        rnd.shuffle(seq)
+        seqs.append(seq)
+    return seqs
+
+
 @pytest.mark.parametrize(
     "spec",
     [interval_box(n) for n in range(2, 13)]
     + [interval_box(n, 2) for n in range(2, 7)]
     + [interval_box(n, 3) for n in range(2, 5)]
     + [cyclic(n) for n in range(2, 21)]
-    + [abelian(2, 4), abelian(3, 9), abelian(2, 2, 2), elementary(3, 2)],
+    + [abelian(2, 4), abelian(3, 9), abelian(2, 2, 2), elementary(3, 2)]
+    + [interval_box(30), cyclic(50), abelian(2, 6), elementary(3, 3)],
     ids=str,
 )
-def test_progression_index_tuples_match_iter_progressions(spec):
+def test_count_k_subsequences_match_count_in_order(spec):
+    seqs = _oracle_orderings(spec.cardinality, 41)
     for k in range(2, _k_max(spec) + 1):
-        got = progression_index_tuples(spec, k)
-        want = {
-            tuple(groups.canonical_index(spec, t) for t in terms)
-            for _ap, terms in iter_progressions(spec, k)
-        }
-        assert len(set(got)) == len(got), (spec, k)
-        assert set(got) == want, (spec, k)
+        progs = _index_tuples(spec, k)
+        for seq in seqs:
+            got = count_k_subsequences(_ordering(spec, seq), k)
+            assert got == count_in_order(progs, seq), (spec, k, seq)
+
+
+def test_count_k_subsequences_edge_rows():
+    # k = |A|: only the identity and its reverse hold a progression in order
+    spec = interval_box(6)
+    for seq in (range(6), range(5, -1, -1)):
+        assert count_k_subsequences(_ordering(spec, seq), 6) == 1
+    # no progression 3-ordering in a group of exponent 2
+    spec = elementary(2, 4)
+    assert _index_tuples(spec, 3) == []
+    assert {count_k_subsequences(_ordering(spec, s), 3) for s in _oracle_orderings(16, 7)} == {0}
+    # every pair is a progression in order in one direction
+    assert count_k_subsequences(_ordering(cyclic(2), [1, 0]), 2) == 1
 
 
 def test_length_engines_match_public_algorithms():
@@ -378,56 +406,9 @@ def test_count_k_subsequences_domain():
         count_k_subsequences(o, 1)
     with pytest.raises(ValueError):
         count_k_subsequences(o, 6)
-    # 3163^2 = 10,004,569 candidate pairs, one set past the enumeration cap
+    # N_k runs the length engine: one set past its cap
     with pytest.raises(CapExceeded):
-        count_k_subsequences(_ordering(cyclic(3163), range(3163)), 3)
-
-
-def _lane_orderings(card, lanes, seed):
-    # the identity and its reverse, then random shuffles
-    rnd = random.Random(seed)
-    seqs = [list(range(card)), list(range(card))[::-1]]
-    while len(seqs) < lanes:
-        seq = list(range(card))
-        rnd.shuffle(seq)
-        seqs.append(seq)
-    return seqs[:lanes]
-
-
-@pytest.mark.parametrize(
-    "text", ["interval:30", "interval:5,2", "cyclic:50", "abelian:2x6", "elementary:3^3"]
-)
-def test_lane_counts_match_count_in_order(text):
-    spec = parse_set_spec(text)
-    seqs = _lane_orderings(spec.cardinality, 513, 41)
-    for k in range(2, 7):
-        progs = progression_index_tuples(spec, k)
-        want = [count_in_order(progs, seq) for seq in seqs]
-        for lanes in (1, 2, 3, 64, 513):
-            assert count_in_orders(progs, seqs[:lanes]) == want[:lanes], (text, k, lanes)
-        # a generator is packed as it is read
-        assert count_in_orders(progs, iter(seqs[:3])) == want[:3]
-
-
-def test_lane_counts_edge_cases():
-    # k = |A|: only the identity and its reverse hold a progression in order
-    progs = progression_index_tuples(interval_box(6), 6)
-    seqs = _lane_orderings(6, 64, 5)
-    assert count_in_orders(progs, seqs) == [count_in_order(progs, s) for s in seqs]
-    assert count_in_orders(progs, seqs)[:2] == [1, 1]
-    # 89,400 tuples cross an accumulator flush
-    progs = progression_index_tuples(cyclic(300), 3)
-    assert len(progs) == 89_400
-    seqs = _lane_orderings(300, 5, 6)
-    assert count_in_orders(progs, seqs) == [count_in_order(progs, s) for s in seqs]
-    # a lane that holds every tuple of a full flush and then some more
-    repeated = ((0, 1),) * 70_000
-    assert count_in_orders(repeated, [[0, 1], [1, 0], [0, 1]]) == [70_000, 0, 70_000]
-    # no progression 3-ordering in a group of exponent 2
-    progs = progression_index_tuples(elementary(2, 4), 3)
-    assert progs == ()
-    assert count_in_orders(progs, _lane_orderings(16, 7, 7)) == [0] * 7
-    assert count_in_orders(progs, []) == []
+        count_k_subsequences(_ordering(cyclic(ENGINE_CAP + 1), range(ENGINE_CAP + 1)), 3)
 
 
 def test_consistency_with_length():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from apseq import enumeration, las, montecarlo
+from apseq.counting import iter_progressions
 from apseq.groups import cyclic, interval_box
 from apseq.montecarlo import (
     ExperimentConfig,
@@ -148,8 +149,8 @@ def test_empirical_distribution_converges_n8():
 def test_parallel_matches_serial():
     cfg = ExperimentConfig(cyclic(20), 300, 77)
     assert empirical_L_distribution(cfg) == empirical_L_distribution(cfg, parallel=2)
-    # chunks of 300, 100 and 6 samples count in lanes, chunks of 3 and 2
-    # one ordering at a time; 600 samples fill two blocks of lanes
+    # chunks of 300, 100, 6, 3 and 2 samples, and 600 samples in one chunk
+    # or two, give the same integers and so the same statistics
     for samples, parallels in ((300, (3,)), (6, (1, 2, 3)), (600, (1, 2))):
         cfg_k = ExperimentConfig(cyclic(20), samples, 77, 3)
         a = estimate_Nk_mean(cfg_k)
@@ -160,12 +161,13 @@ def test_parallel_matches_serial():
 
 def test_nk_chunk_routes_match_count_in_order():
     spec = cyclic(20)
-    progs = las.progression_index_tuples(spec, 3)
+    # a cyclic group's canonical index is its element's value
+    progs = [tuple(x for (x,) in terms) for _ap, terms in iter_progressions(spec, 3)]
     want = [
         las.count_in_order(progs, montecarlo._shuffled_indices(20, substream(5, i)))
         for i in range(520)
     ]
-    # 513 samples cross a block of lanes; 3 take the per-ordering route
+    # chunks of 513, 3 and 4 samples, from the first sample and from later ones
     for start, stop in ((0, 513), (7, 520), (4, 7), (10, 14)):
         assert montecarlo._nk_chunk((spec, 5, start, stop, 3)) == want[start:stop]
 
