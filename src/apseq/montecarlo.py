@@ -161,6 +161,8 @@ def estimate_Nk_mean(
     with its standard error and z-score against the exact expectation."""
     if config.k is None:
         raise ValueError("config.k is required")
+    if config.k < 2:
+        raise ValueError("k must be >= 2")
     spec, m, k = config.spec, config.samples, config.k
     count = counting.count_for_set(spec, k).exact
     values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]

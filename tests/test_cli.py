@@ -632,6 +632,19 @@ def test_simulate_nk_above_engine_cap_exit_code(spec, capsys, monkeypatch):
     assert "cap exceeded" in err and str(las.ENGINE_CAP) in err
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_simulate_nk_below_two_is_usage_error(k, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started for k < 2")
+
+    monkeypatch.setattr(cli.montecarlo, "_map_chunks", no_sampling)
+    code, out, err = run_main(capsys, "simulate", "--set", "cyclic:10", "--k", k,
+                              "--samples", "4", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "k must be >= 2" in err
+
+
 def test_simulate_nk_at_full_length_runs(capsys):
     # 400,000 progressions of 1000 terms, none in order in either sample
     start = time.perf_counter()
