@@ -359,6 +359,7 @@ def _cmd_tables(args) -> int:
     if args.max_n < 0:
         raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
     _check_csv(args.csv)
+    enumeration.check_budget(args.max_n, args.symmetry, args.parallel)
     family = args.family
     golden = _golden_rows(family)
     rows = []

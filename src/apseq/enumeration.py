@@ -9,8 +9,11 @@ set's lines find the longest monotone run, and so L, in every lane at once.
 The lines are the walks of las.step_cycles along the steps of
 groups.step_classes, one of each pair {r, -r} that carries 3 or more
 terms: the maximal paths of a box and the cycles of a group.
-Symmetry reduction serves every family with one reducer: it tallies one
-ordering per orbit of the maps that keep progressions in order.
+One tree fixes the positions of all but at most 7 elements, which fill
+one window of positions, and its leaves are blocks.  Unreduced enumeration
+walks it under the identity alone; symmetry reduction, on every family,
+under the maps that keep progressions in order, so one ordering per orbit
+is tallied.  A pool runs the children of the tree's root as tasks.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _lane_ones(lanes: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_columns(r: int, start: int = 0) -> tuple[bytes, ...]:
+def _rank_columns(r: int, start: int) -> tuple[bytes, ...]:
     """The r! permutations of range(start, start + r), in order, as r
     columns: byte i of column j is entry j of permutation i."""
     flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(start, start + r))))
@@ -119,67 +122,39 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
         counts[k] += lanes_at[k] - lanes_at[k + 1]
 
 
-def _tally_placed(lines, card: int, placed, counts: list[int]) -> None:
-    """Add to counts the L of every ordering that puts each element of
-    placed, (element, position) pairs, at that position, one block per
-    placement of all but _BLOCK_FREE of the other elements.
+def _tally_leaves(lines, card: int, leaves) -> list[int]:
+    """The counts of distribution over the orderings of leaves, (where,
+    free, lo) triples of at most _BLOCK_FREE free elements: element x is at
+    position where[x] unless it is in free, and the elements of free take
+    the positions lo .. lo + len(free) - 1 in every order.
 
-    Inverting an ordering is a bijection, so the block's free elements take
-    their open positions in every order: column j of _rank_columns, each
-    rank translated to the position of that rank.
+    A leaf of _BLOCK_FREE free elements is a block of its own: a fixed
+    element's column holds its position in every lane, and the free ones
+    are the columns of _rank_columns.  Smaller leaves share blocks, one
+    ordering per row, column x of the rows holding the lanes of element x.
+    Taken largest first, a leaf of f! rows follows a multiple of f! rows,
+    so every shared block but the last fills to 7! lanes.
     """
-    fixed = dict(placed)
-    free = [x for x in range(card) if x not in fixed]
-    taken = set(fixed.values())
-    open_positions = [p for p in range(card) if p not in taken]
-    extra = max(0, len(free) - _BLOCK_FREE)
-    head, tail = free[:extra], free[extra:]
-    ranks = _rank_columns(len(tail))
-    lanes = math.factorial(len(tail))
-    ones = _lane_ones(lanes)
-    cols = [0] * card
-    for x, p in fixed.items():
-        cols[x] = p * ones
-    for head_positions in itertools.permutations(open_positions, extra):
-        for x, p in zip(head, head_positions):
-            cols[x] = p * ones
-        rest = bytes(p for p in open_positions if p not in head_positions)
-        table = rest.ljust(256, b"\0")
-        for x, col in zip(tail, ranks):
-            cols[x] = int.from_bytes(col.translate(table), "little")
-        _tally_block(lines, cols, lanes, counts)
-
-
-def _tally_leaves(lines, card: int, leaves, counts: list[int]) -> None:
-    """Add to counts the L of every ordering of leaves, (where, free) pairs:
-    element x is at position where[x] unless it is in free, and the
-    elements of free take the middle positions in every order.
-
-    A leaf of _BLOCK_FREE or more free elements goes to _tally_placed.  The
-    others share blocks, one ordering per row, column x of the rows holding
-    the lanes of element x.  Taken largest first, a leaf of f! rows follows
-    a multiple of f! rows, so every block but the last fills to 7! lanes.
-    """
+    counts = [0] * (card + 1)
     rows = bytearray()
     leaves = sorted(leaves, key=lambda leaf: -len(leaf[1]))
-    for n, (where, free) in enumerate(leaves, 1):
-        if len(free) >= _BLOCK_FREE:
-            _tally_placed(lines, card, [(x, p) for x, p in enumerate(where) if x not in free], counts)
+    for n, (where, free, lo) in enumerate(leaves, 1):
+        ranks = _rank_columns(len(free), lo)
+        if len(free) == _BLOCK_FREE:
+            ones = _lane_ones(len(ranks[0]))
+            cols = [p * ones for p in where]
+            for x, col in zip(free, ranks):
+                cols[x] = int.from_bytes(col, "little")
+            _tally_block(lines, cols, len(ranks[0]), counts)
             continue
         start = len(rows)
         rows += where * math.factorial(len(free))
-        for x, col in zip(free, _rank_columns(len(free), (card - len(free)) // 2)):
+        for x, col in zip(free, ranks):
             rows[start + x :: card] = col
         if len(rows) == card * math.factorial(_BLOCK_FREE) or n == len(leaves):
             cols = [int.from_bytes(rows[x::card], "little") for x in range(card)]
             _tally_block(lines, cols, len(rows) // card, counts)
             rows = bytearray()
-
-
-def _placed_worker(args) -> list[int]:
-    lines, card, placed = args
-    counts = [0] * (card + 1)
-    _tally_placed(lines, card, placed, counts)
     return counts
 
 
@@ -208,44 +183,76 @@ def _symmetries(spec: AdditiveSetSpec) -> list[tuple[int, ...]]:
     return [tuple(map(index.__getitem__, image)) for image in images]
 
 
-def _tally_reduced(lines, spec: AdditiveSetSpec) -> list[int]:
-    """The counts of distribution from one ordering per orbit of the maps
-    of _symmetries, with and without reversal.
+def _branches(card: int, node) -> list:
+    """The children of node, (where, free, lo, maps, weight): the orderings
+    that put each element x outside free at where[x] and those of free at
+    lo .. hi = lo + len(free) - 1, counted weight times, under maps, (row,
+    reversed) pairs.  A leaf has none.
 
-    Reversal takes the end pair (first a, last b) of an ordering to (b, a),
-    and a map to the pair's image, so the orderings of one end pair per
-    orbit are tallied, weighted by the orbit's size.  The maps that fix
-    that pair act on its orderings, and the next pair in is reduced under
-    them alike, until the identity alone is left or one element is.
+    While maps other than the identity are left, a child places an end
+    pair, a at lo and b at hi.  Reversal takes (a, b) to (b, a), and a map
+    to the pair's image, so one pair per orbit is placed, weighted by the
+    orbit's size, and the maps that fix it act on the next pair in.  Under
+    the identity alone, a child places one element at lo, down to
+    _BLOCK_FREE free elements.
     """
-    card = spec.cardinality
-    leaves: dict[int, list] = {}  # weight -> (where, free) pairs
-
-    def split(where, rest, maps, weight):
-        if len(maps) == 1 or len(rest) <= 1:
-            leaves.setdefault(weight, []).append((where, rest))
-            return
-        i = (card - len(rest)) // 2
-        for pair in itertools.permutations(rest, 2):
+    where, free, lo, maps, weight = node
+    children = []
+    if len(maps) > 1 and len(free) > 1:
+        hi = lo + len(free) - 1
+        for pair in itertools.permutations(free, 2):
             a, b = pair
             images = [(row[b], row[a]) if rev else (row[a], row[b]) for row, rev in maps]
             if min(images) < pair:
                 continue  # each orbit once, at its least pair
             fixing = [m for m, image in zip(maps, images) if image == pair]
             inner = bytearray(where)
-            inner[a], inner[b] = i, card - 1 - i
-            left = [x for x in rest if x != a and x != b]
+            inner[a], inner[b] = lo, hi
+            left = [x for x in free if x != a and x != b]
             # the orbit of (a, b) has len(maps) / len(fixing) pairs
-            split(inner, left, fixing, weight * len(maps) // len(fixing))
+            children.append((inner, left, lo + 1, fixing, weight * len(maps) // len(fixing)))
+    elif len(free) > _BLOCK_FREE:
+        for a in free:
+            inner = bytearray(where)
+            inner[a] = lo
+            children.append((inner, [x for x in free if x != a], lo + 1, maps, weight))
+    return children
 
-    maps = [(row, rev) for rev in (False, True) for row in _symmetries(spec)]
-    split(bytes(card), range(card), maps, 1)
+
+def _tally_tree(lines, card: int, node) -> list[int]:
+    """The counts of distribution over the orderings below node, a node of
+    _branches.  A leaf of _BLOCK_FREE free elements is tallied as soon as it
+    is reached; the smaller leaves of one weight are kept to share blocks."""
     total = [0] * (card + 1)
-    for weight, placements in leaves.items():
-        counts = [0] * (card + 1)
-        _tally_leaves(lines, card, placements, counts)
-        total = [t + weight * c for t, c in zip(total, counts)]
+    small: dict[int, list] = {}  # weight -> leaves of fewer than _BLOCK_FREE free elements
+
+    def add(weight, leaves):
+        total[:] = [t + weight * c for t, c in zip(total, _tally_leaves(lines, card, leaves))]
+
+    def walk(node):
+        children = _branches(card, node)
+        for child in children:
+            walk(child)
+        if not children:
+            where, free, lo, _maps, weight = node
+            if len(free) == _BLOCK_FREE:
+                add(weight, [(where, free, lo)])
+            else:
+                small.setdefault(weight, []).append((where, free, lo))
+
+    walk(node)
+    for weight, leaves in small.items():
+        add(weight, leaves)
     return total
+
+
+def check_budget(card: int, symmetry_reduction: bool, parallel: int | None) -> None:
+    """Raise CapExceeded unless distribution may enumerate a set of card
+    elements: |A| <= PARALLEL_BUDGET under symmetry reduction or a pool of
+    two or more workers, |A| <= SERIAL_BUDGET otherwise."""
+    limit = PARALLEL_BUDGET if symmetry_reduction or (parallel or 1) > 1 else SERIAL_BUDGET
+    if card > limit:
+        raise CapExceeded(f"enumeration budget is |A| <= {limit}, got {card}")
 
 
 def distribution(
@@ -257,22 +264,22 @@ def distribution(
 ) -> DistributionTable:
     """Tally the longest-progression length over all |A|! orderings.
 
-    The orderings are tallied in blocks (_tally_block): each block fixes the
-    positions of all but at most _BLOCK_FREE elements and holds every
-    placement of the rest, and one pass of bitwise operations over the
-    set's lines (_lines), built once per call, gives the L of all its
-    orderings at once.  Symmetry reduction, on every family, tallies one
-    ordering per orbit of the maps that keep L (_tally_reduced); it is
-    opt-in and is validated against unreduced enumeration in the test
-    suite.  The budget follows the work that runs: |A| <= PARALLEL_BUDGET
-    under symmetry reduction or a pool of two or more workers, |A| <=
-    SERIAL_BUDGET otherwise.
+    One tree (_branches) fixes the positions of all but at most _BLOCK_FREE
+    elements, which fill one window of positions in every order, and each
+    leaf's orderings are tallied in blocks (_tally_block): one pass of
+    bitwise operations over the set's lines (_lines), built once per call,
+    gives the L of up to 7! orderings at once.  Unreduced enumeration walks
+    the tree under the identity alone.  Symmetry reduction, on every family,
+    walks it under the maps that keep L (_symmetries) and reversal, so one
+    ordering per orbit is tallied; it is opt-in and is validated against
+    unreduced enumeration in the test suite.  With parallel >= 2 and more
+    than _BLOCK_FREE elements, the children of the tree's root are a pool's
+    tasks, with no more workers than tasks, and one task runs in-process;
+    integer sums keep the counts those of one process.  The budget is
+    check_budget's.
     """
     card = spec.cardinality
-    pooled = parallel is not None and parallel > 1 and not symmetry_reduction
-    limit = PARALLEL_BUDGET if symmetry_reduction or pooled else SERIAL_BUDGET
-    if card > limit:
-        raise CapExceeded(f"enumeration budget is |A| <= {limit}, got {card}")
+    check_budget(card, symmetry_reduction, parallel)
 
     if cache_dir:
         cached = load_distribution(spec, cache_dir)
@@ -284,23 +291,21 @@ def distribution(
     else:
         lines = _lines(spec)
         if symmetry_reduction:
-            counts = _tally_reduced(lines, spec)
-        elif pooled and card > 2:
-            # one task per placement of elements 0 and 1
-            tasks = [
-                (lines, card, ((0, i), (1, j)))
-                for i in range(card)
-                for j in range(card)
-                if i != j
-            ]
+            maps = [(row, rev) for rev in (False, True) for row in _symmetries(spec)]
+        else:
+            maps = [(tuple(range(card)), False)]  # the identity alone
+        root = (bytes(card), list(range(card)), 0, maps, 1)
+        # at most 7! orderings take less time than starting a pool
+        pooled = (parallel or 1) > 1 and card > _BLOCK_FREE
+        tasks = _branches(card, root) if pooled else []
+        if len(tasks) > 1:
             import multiprocessing  # only here: importing it slows every CLI start
 
-            with multiprocessing.Pool(parallel) as pool:
-                partials = pool.map(_placed_worker, tasks)
-            counts = [sum(col) for col in zip(*partials)]
+            with multiprocessing.Pool(min(parallel, len(tasks))) as pool:
+                parts = pool.starmap(_tally_tree, [(lines, card, task) for task in tasks], 1)
+            counts = [sum(col) for col in zip(*parts)]
         else:
-            counts = [0] * (card + 1)
-            _tally_placed(lines, card, (), counts)
+            counts = _tally_tree(lines, card, root)
 
     total = math.factorial(card)
     if sum(counts) != total:

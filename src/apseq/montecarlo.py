@@ -14,7 +14,9 @@ ExperimentConfig refuses sets above las.ENGINE_CAP before any sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 from . import asymptotics, counting, las
 from .errors import CapExceeded
@@ -131,27 +133,31 @@ class SubseqCountStats(Frozen):
         _set(self, "samples", samples)
 
 
-def _nk_chunk(args) -> list[int]:
+def _tally_chunk(args) -> Counter:
+    """{value: count} over the samples start .. stop - 1: the value is the
+    sample's L, or its N_k when k is not None."""
     spec, seed, start, stop, k = args
-    count_of = las.length_engine(spec).count_of_indices
+    engine = las.length_engine(spec)
     card = spec.cardinality
-    return [count_of(_shuffled_indices(card, substream(seed, i)), k)
-            for i in range(start, stop)]
+    orderings = (_shuffled_indices(card, substream(seed, i)) for i in range(start, stop))
+    if k is None:
+        return Counter(map(engine.length_of_indices, orderings))
+    return Counter(map(engine.count_of_indices, orderings, itertools.repeat(k)))
 
 
-def _map_chunks(worker, config: ExperimentConfig, parallel: int | None, *extra) -> list:
-    """worker's results on consecutive sample ranges, one range per pool
-    worker (or one range in-process), in sample order.  The pool has no more
+def _map_chunks(config: ExperimentConfig, parallel: int | None, k: int | None = None) -> Counter:
+    """The tally of _tally_chunk over all samples, one range of consecutive
+    samples per pool worker (or one range in-process).  The pool has no more
     workers than ranges, and a single range runs in-process."""
     spec, m, seed = config.spec, config.samples, config.seed
     size = -(-m // parallel) if parallel and parallel > 1 else m
-    jobs = [(spec, seed, a, min(a + size, m), *extra) for a in range(0, m, size)]
+    jobs = [(spec, seed, a, min(a + size, m), k) for a in range(0, m, size)]
     if len(jobs) == 1:
-        return [worker(jobs[0])]
+        return _tally_chunk(jobs[0])
     import multiprocessing  # only here: importing it slows every CLI start
 
     with multiprocessing.Pool(len(jobs)) as pool:
-        return pool.map(worker, jobs)
+        return sum(pool.map(_tally_chunk, jobs), Counter())
 
 
 def estimate_Nk_mean(
@@ -165,11 +171,11 @@ def estimate_Nk_mean(
         raise ValueError("k must be >= 2")
     spec, m, k = config.spec, config.samples, config.k
     count = counting.count_for_set(spec, k).exact
-    values = [v for part in _map_chunks(_nk_chunk, config, parallel, k) for v in part]
+    tally = _map_chunks(config, parallel, k)
 
     # integer sums keep the statistics independent of chunking
-    total = sum(values)
-    total_sq = sum(v * v for v in values)
+    total = sum(v * c for v, c in tally.items())
+    total_sq = sum(v * v * c for v, c in tally.items())
     mean = total / m
     expected = count / math.factorial(k) if count else 0.0
     if m > 1:
@@ -184,33 +190,12 @@ def estimate_Nk_mean(
     return SubseqCountStats(mean, stderr, expected, z, m)
 
 
-def _length_chunk(args) -> dict[int, int]:
-    spec, seed, start, stop = args
-    length_of = las.length_engine(spec).length_of_indices
-    card = spec.cardinality
-    tally: dict[int, int] = {}
-    for i in range(start, stop):
-        L = length_of(_shuffled_indices(card, substream(seed, i)))
-        tally[L] = tally.get(L, 0) + 1
-    return tally
-
-
-def _sample_length_counts(
-    config: ExperimentConfig, parallel: int | None
-) -> dict[int, int]:
-    tally: dict[int, int] = {}
-    for part in _map_chunks(_length_chunk, config, parallel):
-        for key, cnt in part.items():
-            tally[key] = tally.get(key, 0) + cnt
-    return tally
-
-
 def empirical_L_distribution(
     config: ExperimentConfig, *, parallel: int | None = None
 ) -> dict[int, float]:
     """Fraction of sampled orderings attaining each longest-progression
     length; keys are the observed lengths, sorted."""
-    tally = _sample_length_counts(config, parallel)
+    tally = _map_chunks(config, parallel)
     m = config.samples
     return {k: tally[k] / m for k in sorted(tally)}
 
@@ -221,6 +206,6 @@ def coverage_experiment(
     """Fraction of sampled orderings whose longest-progression length lands
     in the solved threshold window."""
     lo, hi = asymptotics.solve_threshold(config.spec).window
-    tally = _sample_length_counts(config, parallel)
+    tally = _map_chunks(config, parallel)
     inside = sum(cnt for k, cnt in tally.items() if lo <= k <= hi)
     return inside / config.samples

@@ -190,6 +190,13 @@ def test_simulate_coverage(capsys):
     assert len(doc["result"]["window"]) == 2
 
 
+def test_enumerate_symmetry_pooled_prints_the_serial_bytes():
+    base = ["enumerate", "--set", "interval:9", "--symmetry", "--json"]
+    serial, pooled = run_cli(*base), run_cli(*base, "--parallel", "2")
+    assert serial.returncode == pooled.returncode == 0
+    assert pooled.stdout == serial.stdout
+
+
 def test_simulate_deterministic_across_parallelism():
     base = ["simulate", "--set", "cyclic:40", "--samples", "240", "--seed", "31337",
             "--histogram", "--json"]
@@ -242,6 +249,27 @@ def test_cap_exit_code():
     proc = run_cli("enumerate", "--set", "interval:12")
     assert proc.returncode == 2
     assert "cap exceeded" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--family", "interval", "--max-n", "13", "--symmetry"],
+     ["--family", "cyclic", "--max-n", "13", "--symmetry"],
+     ["--family", "interval", "--max-n", "11"]],
+    ids=["interval-13-symmetry", "cyclic-13-symmetry", "interval-11"],
+)
+def test_tables_above_budget_exit_code(argv, capsys, monkeypatch):
+    # the budget is checked against --max-n before any row is tallied
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was tallied above the budget")
+
+    monkeypatch.setattr(cli.enumeration, "distribution", no_rows)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, "tables", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap exceeded" in err
 
 
 def test_oversized_set_exit_code():

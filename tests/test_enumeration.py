@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -154,17 +155,30 @@ def test_distribution_builds_no_length_engine(text, symmetry, monkeypatch):
     assert row + [0] * (len(want) - len(row)) == want
 
 
-def _placed_orderings(card, placed):
-    """Every ordering, as canonical indices, that puts each element of
-    placed at its position."""
-    fixed = dict(placed)
-    free = [x for x in range(card) if x not in fixed]
-    open_positions = [p for p in range(card) if p not in fixed.values()]
-    for where in itertools.permutations(open_positions):
-        seq = [0] * card
-        for x, p in [*fixed.items(), *zip(free, where)]:
-            seq[p] = x
-        yield tuple(seq)
+def _scrambled_leaf(card, f, lo, seed):
+    """A leaf (where, free, lo) of f free elements, drawn with the seed, at
+    positions lo .. lo + f - 1, and the other elements scrambled over the
+    positions outside that window."""
+    rng = random.Random(seed)
+    elements = list(range(card))
+    rng.shuffle(elements)
+    outside = [p for p in range(card) if not lo <= p < lo + f]
+    rng.shuffle(outside)
+    where = bytearray(card)
+    for x, p in zip(elements[f:], outside):
+        where[x] = p
+    return bytes(where), elements[:f], lo
+
+
+def _leaf_orderings(card, leaves):
+    """Every ordering, as canonical indices, of each leaf (where, free, lo)."""
+    for where, free, lo in leaves:
+        for perm in itertools.permutations(free):
+            seq = [0] * card
+            for x in set(range(card)) - set(free):
+                seq[where[x]] = x
+            seq[lo : lo + len(free)] = perm
+            yield tuple(seq)
 
 
 def _reference_counts(spec, orderings, method):
@@ -179,9 +193,11 @@ def _reference_counts(spec, orderings, method):
     return counts
 
 
-# Placements (element, position): none on sets of up to 8 elements and one
-# on 9, so 8 free elements split into one block per position of another,
-# and three, which leave a single block of 5! or 6! orderings.
+# Leaves of a free window of at most 7 positions, the other elements
+# scrambled outside it: one leaf as large as the set allows, at the top;
+# eight one smaller and one of each size below, at the bottom and in the
+# middle, so that 7 of 6! rows fill a shared block and the rest start the
+# next; and one of |A| - 3 free elements in the middle, at most 6! rows.
 @pytest.mark.parametrize(
     "text",
     ["interval:1", "cyclic:1", "interval:2", "cyclic:2", "interval:3,2", "abelian:2x4",
@@ -191,30 +207,35 @@ def test_block_tally_matches_per_ordering_lengths(text):
     spec = groups.parse_set_spec(text)
     card = spec.cardinality
     lines = enumeration._lines(spec)
-    placements = [()] if card <= 8 else [((0, card // 2),)]
+    top = min(card, 7)
+    batches = [[_scrambled_leaf(card, top, card - top, 0)]]
     if card >= 3:
-        placements.append(((card - 1, 0), (1, card // 2), (2, card - 1)))
-    for placed in placements:
-        got = [0] * (card + 1)
+        sizes = [top - 1] * 8 + list(range(top - 2, -1, -1))
+        batches.append([_scrambled_leaf(card, f, i % 2 * (card - f) // 2, i)
+                        for i, f in enumerate(sizes, 1)])
+        f = min(card - 3, 6)
+        batches.append([_scrambled_leaf(card, f, (card - f) // 2, 99)])
+    for leaves in batches:
+        orderings = list(_leaf_orderings(card, leaves))
         if card == 1:
-            got[1] = 1  # distribution's own case: no block has one element
+            got = [0, 1]  # distribution's own case: no block has one element
         else:
-            enumeration._tally_placed(lines, card, placed, got)
-        orderings = list(_placed_orderings(card, placed))
+            got = enumeration._tally_leaves(lines, card, leaves)
         assert sum(got) == len(orderings)
-        assert got == _reference_counts(spec, orderings, "scan"), (text, placed)
+        assert got == _reference_counts(spec, orderings, "scan"), (text, leaves)
         if len(orderings) <= 720:
-            assert got == _reference_counts(spec, orderings, "pairdp"), (text, placed)
+            assert got == _reference_counts(spec, orderings, "pairdp"), (text, leaves)
 
 
 @pytest.mark.parametrize("text", ["cyclic:12", "interval:12"])
 def test_block_tally_twelve_elements(text):
-    # positions up to 11 in every lane, so each difference meets the guard bit
+    # positions up to 11 in every lane, so each difference meets the guard
+    # bit; the free window is at the top, where the fixed elements' columns
+    # hold the smaller positions
     spec = groups.parse_set_spec(text)
-    placed = ((0, 0), (5, 3), (7, 11), (3, 6), (9, 7))
-    got = [0] * 13
-    enumeration._tally_placed(enumeration._lines(spec), 12, placed, got)
-    orderings = list(_placed_orderings(12, placed))
+    leaves = [_scrambled_leaf(12, 7, 5, 12)]
+    got = enumeration._tally_leaves(enumeration._lines(spec), 12, leaves)
+    orderings = list(_leaf_orderings(12, leaves))
     assert sum(got) == len(orderings) == math.factorial(7)
     assert got == _reference_counts(spec, orderings, "scan")
     assert got == _reference_counts(spec, orderings, "pairdp")
@@ -230,9 +251,34 @@ def test_symmetry_reduction_every_family():
         assert reduced == distribution(spec).row(), text
 
 
-def test_parallel_matches_serial():
-    for spec in [interval_box(6), cyclic(6)]:
-        assert distribution(spec, parallel=2).row() == distribution(spec).row()
+# sets of more than 7 elements, so that the root of the tree has children
+# to pool; unreduced cyclic:10 runs past the serial budget's edge
+@pytest.mark.parametrize("symmetry", [False, True])
+@pytest.mark.parametrize("text", ["interval:8", "cyclic:8", "interval:9", "cyclic:10"])
+def test_parallel_matches_serial(text, symmetry):
+    spec = groups.parse_set_spec(text)
+    serial = distribution(spec, symmetry_reduction=symmetry).row()
+    assert distribution(spec, symmetry_reduction=symmetry, parallel=2).row() == serial
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    import multiprocessing
+
+    real_pool, sizes = multiprocessing.Pool, []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    # one orbit of end pairs on cyclic:11 (the affine maps of a prime field
+    # and reversal), so one task, run in-process; no pool for sets of at
+    # most 7 elements; three orbits of end pairs on cyclic:10
+    for spec, symmetry in [(cyclic(11), True), (interval_box(7), False),
+                           (interval_box(6), True), (cyclic(10), True)]:
+        serial = distribution(spec, symmetry_reduction=symmetry).row()
+        assert distribution(spec, symmetry_reduction=symmetry, parallel=8).row() == serial
+    assert sizes == [3]
 
 
 def test_abelian_distribution_row_sum():

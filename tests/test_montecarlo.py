@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -169,7 +170,7 @@ def test_nk_chunk_routes_match_count_in_order():
     ]
     # chunks of 513, 3 and 4 samples, from the first sample and from later ones
     for start, stop in ((0, 513), (7, 520), (4, 7), (10, 14)):
-        assert montecarlo._nk_chunk((spec, 5, start, stop, 3)) == want[start:stop]
+        assert montecarlo._tally_chunk((spec, 5, start, stop, 3)) == Counter(want[start:stop])
 
 
 def test_single_chunk_runs_in_process(monkeypatch):
@@ -184,6 +185,9 @@ def test_single_chunk_runs_in_process(monkeypatch):
     b = estimate_Nk_mean(cfg, parallel=4)
     assert (a.mean, a.stderr, a.expected, a.z) == (b.mean, b.stderr, b.expected, b.z)
     assert empirical_L_distribution(cfg, parallel=8) == empirical_L_distribution(cfg)
+    # the config's k does not turn the length histogram into an N_k one
+    without_k = ExperimentConfig(cyclic(20), 1, 77)
+    assert empirical_L_distribution(cfg) == empirical_L_distribution(without_k)
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
