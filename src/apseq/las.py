@@ -3,15 +3,18 @@ algorithms, plus exact counting of k-term progression subsequences.
 
 Both algorithms take an ordering as canonical indices.  The length engine
 of a set (length_engine) serves every ordering of one spec, for groups and
-interval boxes alike.  It scans the steps w of groups.step_classes in bit
-lanes over the set's elements: one int compares the position of every x
-with that of x + w, and ANDs of its shifted copies mark the runs in order
-along x, x + w, ...  A rising run is a progression with step w, a
-falling run one with step -w.  length_of_indices gives the longest length,
-witness the smallest (base index, step) of that length, and
-longest_ap_orbitwalk is that witness for every family.  step_cycles walks
-x -> x + r over a successor table: the cycles of a group and the maximal
-paths inside a box, from which enumeration builds its lines.
+interval boxes alike.  It scans the steps w of groups.step_classes over
+bits indexed by the set's elements: one int holds, for every x, whether
+x + w comes later than x, and ANDs of its shifted copies mark the runs in
+order along x, x + w, ...  A rising run is a progression with step w, a
+falling run one with step -w.  Groups of at most two invariant factors read
+those bits from one comparison matrix per ordering; other groups and boxes
+compare 16-bit lanes of positions, step by step.  length_of_indices gives
+the longest length, witness the smallest (base index, step) of that
+length, and longest_ap_orbitwalk is that witness for every family.
+step_cycles walks x -> x + r over a successor table: the cycles of a group
+and the maximal paths inside a box, from which enumeration builds its
+lines.
 
 The pair DP keys chains of index pairs by their common difference, read for
 each position from a row of differences over all canonical indices; it
@@ -162,8 +165,9 @@ def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
 @functools.lru_cache(maxsize=32)
 def _last_engine(spec: AdditiveSetSpec):
     """The length engines of the last 32 sets the orbit walk and
-    count_k_subsequences saw.  An engine keeps its steps and at most
-    _MASKS_KEPT masks."""
+    count_k_subsequences saw.  An engine keeps its steps, a group's matrix
+    bands (their steps and where each step's column lies) and at most
+    _MASKS_KEPT masks, but no comparison matrix: a scan builds its own."""
     return length_engine(spec)
 
 
@@ -283,26 +287,37 @@ def count_k_subsequences(ordering: Ordering, k: int) -> int:
 
 # A lane's guard bit leaves 0x80 or 0 in its high byte: read as a binary digit
 _GUARD_DIGIT = bytes.maketrans(b"\x00\x80", b"01")
+# The bits of one comparison-matrix band (1 MB): one band at |A| = 1000, two
+# at cyclic:5000.
+_BAND_BITS = 1 << 23
+# The delta swaps that transpose each 8 x 8 bit block of a little-endian int,
+# as (shift, mask over one 8-byte block)
+_SWAPS = tuple((shift, mask.to_bytes(8, "little")) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 # Masks an engine keeps between scans (at most 2.5 MB of them at ENGINE_CAP);
 # it builds any others each time.
 _MASKS_KEPT = 256
 
 
 class _LaneEngine:
-    """Set-up, lane scan and witness shared by both length engines.
+    """Set-up, scan loop and witness shared by both length engines.
 
     Each engine reads its (bound, v, units) triples from groups.step_classes,
     bound capping the terms along the steps u * v; its _steps_of turns a
-    triple into lane steps (w, -w, how to shift by w).  A scan puts the
-    position of element x in 16-bit lane x of one int, with guard bit
-    G = 0x8000 free, as positions stay below 2^15.  For each step, _ones
-    shifts the int so that lane x holds lane x + w, and _compare reads one
-    bit per element, set where x + w comes later; the bits where x + w is in
-    the set but earlier are their complement.  Both are packed as one int,
-    rising bits from bit 0 and falling ones from bit 2|A|, which _shift
-    moves by a multiple of w.  The AND of the bits shifted by 0, w, ...,
-    (c - 1)w marks the runs of c + 1 terms: each set bit is one progression
-    of c + 1 terms in order, along w (rising) or -w (falling).
+    triple into lane steps (w, -w, how to shift by w).  A step's ones hold
+    one bit per element, set where x + w comes later than x; the bits where
+    x + w is in the set but earlier are their complement.  Both are packed
+    as one int, rising bits from bit 0 and falling ones from bit 2|A|, which
+    _shift moves by a multiple of w.  The AND of the bits shifted by 0, w,
+    ..., (c - 1)w marks the runs of c + 1 terms: each set bit is one
+    progression of c + 1 terms in order, along w (rising) or -w (falling).
+
+    _bands gives the steps in bands, each with the source of its ones; the
+    scan and count_of_indices share one loop over them.  The lane source,
+    one band of every step, puts the position of element x in 16-bit lane x
+    of one int, with guard bit G = 0x8000 free, as positions stay below
+    2^15; per step, _ones shifts the int so that lane x holds lane x + w,
+    and _compare reads the bit of each lane.
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -356,38 +371,43 @@ class _LaneEngine:
                 break
         return run
 
+    def _bands(self, pos: Sequence[int]):
+        """(steps, ones_of, source) per band of lane steps, bound falling
+        within a band, ones_of(step, source) giving a step's ones: the lane
+        source is one band of every step, compared from the lanes of pos."""
+        return [(self._lane_steps(), self._ones, self._lanes(pos))]
+
     def _scan(self, pos: Sequence[int], ties: bool = False) -> tuple:
         """The longest progression length of the ordering with
         pos[canonical index] = position and, given ties, the smallest
         (base index, step) among the progressions of that length.
 
-        Steps are scanned in falling order of bound while the bound is above
-        the best length, or, given ties, not below it.  The lowest rising
-        bit of a step's longest runs is its smallest base with step w; the
-        falling bits, shifted back by the run's length, are the bases with
-        step -w.
+        Each band's steps are scanned in falling order of bound while the
+        bound is above the best length, or, given ties, not below it.  The
+        lowest rising bit of a step's longest runs is its smallest base with
+        step w; the falling bits, shifted back by the run's length, are the
+        bases with step -w.
         """
-        steps = self._lane_steps()
-        lanes = self._lanes(pos)
         best, key = 2, None
-        for bound, step in steps:
-            if bound < best + (not ties):
-                break
-            ones = self._ones(step, lanes)
-            length = best + (not ties)
-            run = self._run(step, ones, length - 1)
-            if not run:
-                continue
-            while length < bound and (longer := run & self._shift(step, ones, length - 1)):
-                run, length = longer, length + 1
-            if length > best:
-                best, key = length, None
-            if ties:
-                falling = self._shift(step, run >> 2 * self.card, 1 - best)
-                for bits, w in ((run & self._all, step[0]), (falling, step[1])):
-                    lowest = ((bits & -bits).bit_length() - 1, w)
-                    if bits and (key is None or lowest < key):
-                        key = lowest
+        for steps, ones_of, source in self._bands(pos):
+            for bound, step in steps:
+                if bound < best + (not ties):
+                    break
+                ones = ones_of(step, source)
+                length = best + (not ties)
+                run = self._run(step, ones, length - 1)
+                if not run:
+                    continue
+                while length < bound and (longer := run & self._shift(step, ones, length - 1)):
+                    run, length = longer, length + 1
+                if length > best:
+                    best, key = length, None
+                if ties:
+                    falling = self._shift(step, run >> 2 * self.card, 1 - best)
+                    for bits, w in ((run & self._all, step[0]), (falling, step[1])):
+                        lowest = ((bits & -bits).bit_length() - 1, w)
+                        if bits and (key is None or lowest < key):
+                            key = lowest
         return best, key
 
     def length_of_positions(self, pos: Sequence[int]) -> int:
@@ -410,12 +430,12 @@ class _LaneEngine:
         more."""
         if k == 2:
             return self.card * (self.card - 1) // 2
-        lanes = self._lanes(self._positions(idx_seq))
         count = 0
-        for bound, step in self._lane_steps():
-            if bound < k:
-                break
-            count += self._run(step, self._ones(step, lanes), k - 1).bit_count()
+        for steps, ones_of, source in self._bands(self._positions(idx_seq)):
+            for bound, step in steps:
+                if bound < k:
+                    break
+                count += self._run(step, ones_of(step, source), k - 1).bit_count()
         return count
 
     def witness(self, idx_seq: Sequence[int]) -> LasResult:
@@ -453,10 +473,20 @@ class GroupLengthEngine(_LaneEngine):
     groups.step_classes lists each cyclic subgroup <v> of order m >= 3 by
     its smallest generator; order-2 subgroups only give 2-term progressions,
     which every set of two or more elements has.  The lane steps are u * v
-    for each unit u < m / 2, with bound m, expanded on the first scan.  Lane
-    x + w is lane x with each coordinate c rotated by w_c within its blocks
-    of m_c * stride_c lanes.  A run never passes m - 1 comparisons, as m
-    would close the cycle.
+    for each unit u < m / 2, with bound m, expanded on the first scan, each
+    as whichever of w, -w has the lower index.  A run never passes m - 1
+    comparisons, as m would close the cycle.
+
+    With at most two invariant factors (d <= 2), a step's ones come from a
+    comparison matrix built once per ordering and band of columns.  Its
+    tiled layout gives element x the offset x_0 * 2 m_1 + x_1 (x at d = 1):
+    kept over doubled coordinates, the later elements shifted by x's offset
+    give row x, the w with x + w later than x, at w's offset.  The exponent
+    is then at least sqrt|A|, far above L, so a scan visits almost every
+    step; with more factors it can be below L, and the tiled rows would be
+    2^(d - 1) times wider, so those groups keep the lane source.  There,
+    lane x + w is lane x with each coordinate c rotated by w_c within its
+    blocks of m_c * stride_c lanes.
 
     length_of_indices(idx_seq) fills the position buffer, pos[canonical
     index] = position, and scans it with length_of_positions(pos).
@@ -467,9 +497,75 @@ class GroupLengthEngine(_LaneEngine):
         steps = []
         for u in units:
             w = tuple(u * a % mc for a, mc in zip(v, moduli))
+            w, neg = sorted((w, tuple(-a % mc for a, mc in zip(w, moduli))))
             turns = tuple((c, a, mc, s) for c, (a, mc, s) in enumerate(zip(w, moduli, strides)) if a)
-            steps.append((w, tuple(-a % mc for a, mc in zip(w, moduli)), turns))
+            steps.append((w, neg, turns))
         return steps
+
+    def _plan(self) -> list:
+        """The matrix bands in column order, derived on the first scan, each
+        at most _BAND_BITS: its first tiled column, its width in bytes, the
+        byte columns its steps read and its (bound, step) pairs, bound
+        falling, each step extended by the slice of its column in the
+        band's transposed bytes."""
+        if self._banded is None:
+            rows, inner = (self.card + 7) & -8, self.spec.moduli[-1]
+            per = max(1, _BAND_BITS // (8 * rows))
+            bands: dict = {}
+            for bound, step in self._lane_steps():
+                i = sum(a * s for a, s in zip(step[0], self.spec.strides))
+                col = i + i // inner * inner
+                bands.setdefault(col // 8 // per, []).append((col, bound, step))
+            self._banded = []
+            for band, members in sorted(bands.items()):
+                lo = 8 * per * band
+                js = sorted({(col - lo) >> 3 for col, _, _ in members})
+                at = {j: n * rows for n, j in enumerate(js)}
+                steps = []
+                for col, bound, step in members:
+                    start = at[(col - lo) >> 3]
+                    steps.append((bound, step + (slice(start + (col & 7), start + rows, 8),)))
+                self._banded.append((lo, js[-1] + 1, js, steps))
+        return self._banded
+
+    def _bands(self, pos: Sequence[int]):
+        """Past two invariant factors the lane source; otherwise the matrix
+        bands, each transposed when the scan reaches it."""
+        if len(self.spec.moduli) > 2:
+            return super()._bands(pos)
+        order = [0] * self.card
+        for x, where in enumerate(pos):
+            order[where] = x
+        return ((steps, self._column, self._transposed(order, lo, width, js))
+                for lo, width, js, steps in self._plan())
+
+    def _transposed(self, order: list, lo: int, width: int, js: list) -> bytes:
+        """The byte columns js of one band of the comparison matrix of the
+        ordering listing order, each row x (the tiled columns from lo of the
+        w with x + w later than x) read off the later elements, walking the
+        ordering from its end; gathered by strided slices and transposed by
+        8 x 8 bit blocks, so that a step's rising bits are one more strided
+        slice."""
+        card, rows, inner = self.card, (self.card + 7) & -8, self.spec.moduli[-1]
+        # an element's bits in the tiled layout: its copies over the doubled
+        # coordinates
+        tile = (1 + (1 << inner)) * (1 + ((inner < card) << 2 * card))
+        table, later, mask = [bytes(width)] * rows, 0, (1 << 8 * width) - 1
+        for x in reversed(order):
+            at = x + x // inner * inner
+            table[x] = (later >> at + lo & mask).to_bytes(width, "little")
+            later |= tile << at
+        table = b"".join(table)
+        bits = int.from_bytes(b"".join(table[j::width] for j in js), "little")
+        del table  # peak memory: about five times the band's bits
+        for shift, word in _SWAPS:
+            swap = (bits ^ bits >> shift) & int.from_bytes(word * (len(js) * rows // 8), "little")
+            bits ^= swap ^ swap << shift
+        return bits.to_bytes(len(js) * rows, "little")
+
+    def _column(self, step: tuple, table: bytes) -> int:
+        rising = int.from_bytes(table[step[3]], "little")
+        return rising | (rising ^ self._all) << 2 * self.card
 
     def _keep(self, key: tuple) -> int:
         """The lanes whose coordinate c > 0 stays below m_c - b, as 16-bit
@@ -511,6 +607,8 @@ class GroupLengthEngine(_LaneEngine):
             keep = self._mask((c, b, False), self._keep)
             bits = (bits >> b * s & keep) | (bits << (m - b) * s & (keep ^ self._halves))
         return bits
+
+    _banded = None
 
     # names of this class's own, which perfbench's tracer wraps
     length_of_positions = _LaneEngine.length_of_positions
