@@ -9,7 +9,7 @@ x + w comes later than x, and ANDs of its shifted copies mark the runs in
 order along x, x + w, ...  A rising run is a progression with step w, a
 falling run one with step -w.  Groups of at most two invariant factors read
 those bits from one comparison matrix per ordering; other groups and boxes
-compare 16-bit lanes of positions, step by step.  length_of_indices gives
+compare the bit planes of the positions, step by step.  length_of_indices gives
 the longest length, witness the smallest (base index, step) of that
 length, and longest_ap_orbitwalk is that witness for every family.
 step_cycles walks x -> x + r over a successor table: the cycles of a group
@@ -42,8 +42,8 @@ from .groups import INTERVAL, AdditiveSetSpec, Frozen
 # The pair DP keeps |A|^2 / 2 step keys: its address space peaks at 190 MB
 # (interval:3000) to 320 MB (abelian:2x1500) here, 480 MB at interval:5000.
 PAIR_DP_CAP = 3000
-# A scan keeps one 16-bit lane per element, positions staying below its
-# guard bit.
+# A round number, not the engines' limit: the bit planes read positions as
+# 16-bit items, which holds up to 2^16 elements.
 ENGINE_CAP = 5000
 
 
@@ -166,8 +166,9 @@ def longest_ap_orbitwalk(ordering: Ordering) -> LasResult:
 def _last_engine(spec: AdditiveSetSpec):
     """The length engines of the last 32 sets the orbit walk and
     count_k_subsequences saw.  An engine keeps its steps, a group's matrix
-    bands (their steps and where each step's column lies) and at most
-    _MASKS_KEPT masks, but no comparison matrix: a scan builds its own."""
+    bands (their steps and where each step's column lies) and a box's first
+    _MASKS_KEPT inside masks, but no comparison matrix: a scan builds its
+    own."""
     return length_engine(spec)
 
 
@@ -285,8 +286,8 @@ def count_k_subsequences(ordering: Ordering, k: int) -> int:
     return _last_engine(spec).count_of_indices(ordering.indices, k)
 
 
-# A lane's guard bit leaves 0x80 or 0 in its high byte: read as a binary digit
-_GUARD_DIGIT = bytes.maketrans(b"\x00\x80", b"01")
+# Per j < 8, the translate table reading bit j of a byte as a binary digit
+_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 # The bits of one comparison-matrix band (1 MB): one band at |A| = 1000, two
 # at cyclic:5000.
 _BAND_BITS = 1 << 23
@@ -294,17 +295,17 @@ _BAND_BITS = 1 << 23
 # as (shift, mask over one 8-byte block)
 _SWAPS = tuple((shift, mask.to_bytes(8, "little")) for shift, mask in (
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
-# Masks an engine keeps between scans (at most 2.5 MB of them at ENGINE_CAP);
-# it builds any others each time.
+# A box's inside masks an engine keeps between scans, |A| bits each (0.16 MB
+# of them at ENGINE_CAP); it builds any others each time.
 _MASKS_KEPT = 256
 
 
-class _LaneEngine:
+class _LengthEngine:
     """Set-up, scan loop and witness shared by both length engines.
 
     Each engine reads its (bound, v, units) triples from groups.step_classes,
     bound capping the terms along the steps u * v; its _steps_of turns a
-    triple into lane steps (w, -w, how to shift by w).  A step's ones hold
+    triple into scan steps (w, -w, how to shift by w).  A step's ones hold
     one bit per element, set where x + w comes later than x; the bits where
     x + w is in the set but earlier are their complement.  Both are packed
     as one int, rising bits from bit 0 and falling ones from bit 2|A|, which
@@ -313,11 +314,12 @@ class _LaneEngine:
     progression of c + 1 terms in order, along w (rising) or -w (falling).
 
     _bands gives the steps in bands, each with the source of its ones; the
-    scan and count_of_indices share one loop over them.  The lane source,
-    one band of every step, puts the position of element x in 16-bit lane x
-    of one int, with guard bit G = 0x8000 free, as positions stay below
-    2^15; per step, _ones shifts the int so that lane x holds lane x + w,
-    and _compare reads the bit of each lane.
+    scan and count_of_indices share one loop over them.  The plane source,
+    one band of every step, is the bit planes of the positions: plane j
+    holds bit j of pos[x] at bit x.  Per step, _ones moves each plane by w
+    with _shift and decides pos[x + w] > pos[x] from the lowest plane up,
+    each plane overriding the lower ones where its two bits differ, then
+    keeps the x whose x + w is in the set (_inside_of).
     """
 
     def __init__(self, spec: AdditiveSetSpec):
@@ -326,36 +328,39 @@ class _LaneEngine:
         self._pos = [0] * card
         self._todo = sorted(groups.step_classes(spec), key=itemgetter(0))
         self._steps = None
-        self._masks: dict = {}
 
-    def _lane_steps(self) -> list:
+    def _scan_steps(self) -> list:
         """(bound, step) pairs, the bound falling, derived on first use so
         that constructing an engine costs what listing todo costs."""
         if self._steps is None:
             card = self.card
-            self._guard = int.from_bytes(b"\0\x80" * card, "little")
             self._all = (1 << card) - 1
             self._halves = self._all | self._all << 2 * card
             self._steps = [(bound, step) for bound, v, units in reversed(self._todo)
                            for step in self._steps_of(v, units)]
         return self._steps
 
-    def _mask(self, key, build) -> int:
-        got = self._masks.get(key)
-        if got is None:
-            got = build(key)
-            if len(self._masks) < _MASKS_KEPT:
-                self._masks[key] = got
-        return got
-
-    def _lanes(self, pos: Sequence[int]) -> int:
+    def _planes(self, pos: Sequence[int]) -> list[int]:
+        """Bit j of pos[x] at bit x of plane j, for j up to the top bit of
+        |A| - 1: the low or high bytes of the 16-bit positions, from the
+        last element on, read as binary digits."""
         from array import array  # only here: importing it slows every CLI start
 
-        return int.from_bytes(array("H", pos), sys.byteorder)
+        data = array("H", pos).tobytes()
+        high, low = data[::-2], data[-2::-2]
+        if sys.byteorder == "big":
+            high, low = low, high
+        return [int((high if j >= 8 else low).translate(_BIT_DIGITS[j & 7]), 2)
+                for j in range((self.card - 1).bit_length())]
 
-    def _compare(self, shifted: int, lanes: int) -> int:
-        high = (((shifted | self._guard) - lanes) & self._guard).to_bytes(2 * self.card, "big")
-        return int(high[::2].translate(_GUARD_DIGIT), 2)
+    def _ones(self, step: tuple, planes: list[int]) -> int:
+        later = 0
+        for plane in planes:
+            moved = self._shift(step, plane, 1)
+            later ^= (later ^ moved) & (moved ^ plane)
+        inside = self._inside_of(step)
+        rising = later & inside
+        return rising | (rising ^ inside) << 2 * self.card
 
     def _run(self, step, ones: int, count: int) -> int:
         """The bits of ones from which count comparisons hold in a row,
@@ -372,10 +377,10 @@ class _LaneEngine:
         return run
 
     def _bands(self, pos: Sequence[int]):
-        """(steps, ones_of, source) per band of lane steps, bound falling
-        within a band, ones_of(step, source) giving a step's ones: the lane
-        source is one band of every step, compared from the lanes of pos."""
-        return [(self._lane_steps(), self._ones, self._lanes(pos))]
+        """(steps, ones_of, source) per band of scan steps, bound falling
+        within a band, ones_of(step, source) giving a step's ones: the plane
+        source is one band of every step, compared from the planes of pos."""
+        return [(self._scan_steps(), self._ones, self._planes(pos))]
 
     def _scan(self, pos: Sequence[int], ties: bool = False) -> tuple:
         """The longest progression length of the ordering with
@@ -467,12 +472,12 @@ class _LaneEngine:
         return LasResult(best, base, step, indices)
 
 
-class GroupLengthEngine(_LaneEngine):
+class GroupLengthEngine(_LengthEngine):
     """Length engine, reusable across many orderings of one group spec.
 
     groups.step_classes lists each cyclic subgroup <v> of order m >= 3 by
     its smallest generator; order-2 subgroups only give 2-term progressions,
-    which every set of two or more elements has.  The lane steps are u * v
+    which every set of two or more elements has.  The scan steps are u * v
     for each unit u < m / 2, with bound m, expanded on the first scan, each
     as whichever of w, -w has the lower index.  A run never passes m - 1
     comparisons, as m would close the cycle.
@@ -484,9 +489,9 @@ class GroupLengthEngine(_LaneEngine):
     give row x, the w with x + w later than x, at w's offset.  The exponent
     is then at least sqrt|A|, far above L, so a scan visits almost every
     step; with more factors it can be below L, and the tiled rows would be
-    2^(d - 1) times wider, so those groups keep the lane source.  There,
-    lane x + w is lane x with each coordinate c rotated by w_c within its
-    blocks of m_c * stride_c lanes.
+    2^(d - 1) times wider, so those groups compare the bit planes.  There,
+    _shift moves bit x + w to bit x by rotating each coordinate c by w_c
+    within its blocks of m_c * stride_c bits; every x + w is in the group.
 
     length_of_indices(idx_seq) fills the position buffer, pos[canonical
     index] = position, and scans it with length_of_positions(pos).
@@ -494,11 +499,15 @@ class GroupLengthEngine(_LaneEngine):
 
     def _steps_of(self, v: tuple, units: tuple) -> list:
         moduli, strides = self.spec.moduli, self.spec.strides
+        if self._starts is None:  # per coordinate, bit 0 of each block in both halves
+            self._starts = [self._all // ((1 << m * s) - 1) * (1 + (1 << 2 * self.card))
+                            for m, s in zip(moduli, strides)]
         steps = []
         for u in units:
             w = tuple(u * a % mc for a, mc in zip(v, moduli))
             w, neg = sorted((w, tuple(-a % mc for a, mc in zip(w, moduli))))
-            turns = tuple((c, a, mc, s) for c, (a, mc, s) in enumerate(zip(w, moduli, strides)) if a)
+            turns = tuple((c, a, mc, s, self._starts[c])
+                          for c, (a, mc, s) in enumerate(zip(w, moduli, strides)) if a)
             steps.append((w, neg, turns))
         return steps
 
@@ -512,7 +521,7 @@ class GroupLengthEngine(_LaneEngine):
             rows, inner = (self.card + 7) & -8, self.spec.moduli[-1]
             per = max(1, _BAND_BITS // (8 * rows))
             bands: dict = {}
-            for bound, step in self._lane_steps():
+            for bound, step in self._scan_steps():
                 i = sum(a * s for a, s in zip(step[0], self.spec.strides))
                 col = i + i // inner * inner
                 bands.setdefault(col // 8 // per, []).append((col, bound, step))
@@ -529,7 +538,7 @@ class GroupLengthEngine(_LaneEngine):
         return self._banded
 
     def _bands(self, pos: Sequence[int]):
-        """Past two invariant factors the lane source; otherwise the matrix
+        """Past two invariant factors the plane source; otherwise the matrix
         bands, each transposed when the scan reaches it."""
         if len(self.spec.moduli) > 2:
             return super()._bands(pos)
@@ -567,89 +576,69 @@ class GroupLengthEngine(_LaneEngine):
         rising = int.from_bytes(table[step[3]], "little")
         return rising | (rising ^ self._all) << 2 * self.card
 
-    def _keep(self, key: tuple) -> int:
-        """The lanes whose coordinate c > 0 stays below m_c - b, as 16-bit
-        lanes (wide) or as bits in both halves."""
-        c, b, wide = key
-        m, s = self.spec.moduli[c], self.spec.strides[c]
-        reps = self.card // (m * s)
-        if wide:
-            return int.from_bytes((b"\xff\xff" * ((m - b) * s) + bytes(2 * b * s)) * reps, "little")
-        keep = int(("0" * (b * s) + "1" * ((m - b) * s)) * reps, 2)
-        return keep | keep << 2 * self.card
-
-    def _lanes(self, pos: Sequence[int]) -> tuple[int, int]:
-        lanes = super()._lanes(pos)
-        return lanes, lanes | lanes << 16 * self.card
-
-    def _ones(self, step: tuple, lanes: tuple[int, int]) -> int:
-        # Lanes at |A| and above may hold stray values: no lane below them
-        # reads from there, and the guard mask of _compare drops them.
-        lanes, doubled = lanes
-        shifted = lanes
-        for c, a, m, s in step[2]:
-            if not c:  # coordinate 0 rotates the whole int
-                shifted = doubled >> 16 * a * s
-                continue
-            low, high = shifted >> 16 * a * s, shifted << 16 * (m - a) * s
-            shifted = high ^ ((high ^ low) & self._mask((c, a, True), self._keep))
-        rising = self._compare(shifted, lanes)
-        return rising | (rising ^ self._all) << 2 * self.card
+    def _inside_of(self, step: tuple) -> int:
+        return self._all
 
     def _shift(self, step: tuple, bits: int, t: int) -> int:
-        for c, a, m, s in step[2]:
+        for c, a, m, s, starts in step[2]:
             b = a * t % m
             if not b:
                 continue
             if not c:  # each half of twice its width holds it twice over
                 bits = ((bits | bits << self.card) >> b * s) & self._halves
                 continue
-            keep = self._mask((c, b, False), self._keep)
+            # the x whose coordinate c stays below m - b: (m - b) * s bits
+            # from each block's start
+            keep = (starts << (m - b) * s) - starts
             bits = (bits >> b * s & keep) | (bits << (m - b) * s & (keep ^ self._halves))
         return bits
 
-    _banded = None
+    _banded = _starts = None
 
     # names of this class's own, which perfbench's tracer wraps
-    length_of_positions = _LaneEngine.length_of_positions
-    length_of_indices = _LaneEngine.length_of_indices
+    length_of_positions = _LengthEngine.length_of_positions
+    length_of_indices = _LengthEngine.length_of_indices
 
 
-class IntervalLengthEngine(_LaneEngine):
+class IntervalLengthEngine(_LengthEngine):
     """Length engine for interval boxes, on canonical index sequences.
 
-    The lane steps are the v of groups.step_classes, whose bound is the most
-    terms of a path of step v in the box.  Lane x + v is lane x shifted by
-    v's index delta, which is positive; the bits of the x whose x + v leaves
-    the box are dropped, so a run from x stays inside it.
+    The scan steps are the v of groups.step_classes, whose bound is the most
+    terms of a path of step v in the box.  Bit x + v moves to bit x by a
+    shift of v's index delta, which is positive; the bits of the x whose
+    x + v leaves the box are dropped, so a run from x stays inside it.
     """
+
+    def __init__(self, spec: AdditiveSetSpec):
+        super().__init__(spec)
+        self._masks: dict = {}
 
     def _steps_of(self, v: tuple, units: tuple) -> list:
         delta = sum(c * s for c, s in zip(v, self.spec.strides))
         return [(v, tuple(-c for c in v), delta)]
 
-    def _inside(self, v: tuple) -> int:
-        """The bits of the x whose x + v is in the box."""
-        n = self.spec.n
-        inside = 1
-        for c, s in zip(v[::-1], self.spec.strides[::-1]):
-            lo, hi = max(0, -c), min(n, n - c)
-            # the inner coordinates' bits, s of them, at x * s for x in [lo, hi)
-            inside *= ((1 << (hi - lo) * s) - 1) // ((1 << s) - 1) << lo * s
+    def _inside_of(self, step: tuple) -> int:
+        """The bits of the x whose x + v is in the box, kept for the first
+        _MASKS_KEPT steps that ask."""
+        v = step[0]
+        inside = self._masks.get(v)
+        if inside is None:
+            n, inside = self.spec.n, 1
+            for c, s in zip(v[::-1], self.spec.strides[::-1]):
+                lo, hi = max(0, -c), min(n, n - c)
+                # the inner coordinates' bits, s of them, at x * s for x in [lo, hi)
+                inside *= ((1 << (hi - lo) * s) - 1) // ((1 << s) - 1) << lo * s
+            if len(self._masks) < _MASKS_KEPT:
+                self._masks[v] = inside
         return inside
 
-    def _ones(self, step: tuple, lanes: int) -> int:
-        inside = self._mask(step[0], self._inside)
-        rising = self._compare(lanes >> 16 * step[2], lanes) & inside
-        return rising | (rising ^ inside) << 2 * self.card
-
     def _shift(self, step: tuple, bits: int, t: int) -> int:
-        # a set bit of a run vouches that the lanes it is shifted by are inside
+        # a set bit of a run vouches that the bits it is shifted by are inside
         shift = t * step[2]
         return bits >> shift if shift >= 0 else bits << -shift
 
     # a name of this class's own, which perfbench's tracer wraps as a scan
-    length_of_indices = _LaneEngine.length_of_indices
+    length_of_indices = _LengthEngine.length_of_indices
 
 
 def length_engine(spec: AdditiveSetSpec):

@@ -634,9 +634,11 @@ def test_length_engines_agree_in_any_feed_order(text):
 @pytest.mark.parametrize(
     "text",
     ["interval:60", "interval:9,2", "interval:5,3", "cyclic:60", "abelian:4x8",
-     "abelian:3x3x9", "abelian:2x6x12"],
+     "abelian:3x3x9", "abelian:2x6x12", "interval:300", "interval:18,2", "abelian:2x2x76"],
 )
 def test_witness_after_partial_build_matches_pairdp(text):
+    # the last three have positions past one byte: their scans read the
+    # high byte of each position as a bit plane
     spec = parse_set_spec(text)
     rnd = random.Random(text)
     perms = []
@@ -672,14 +674,17 @@ def test_engine_scans_and_witnesses_build_no_lines(text, monkeypatch):
     assert not hasattr(engine, "lines") and not hasattr(engine, "_lines_of")
 
 
-def test_lane_engine_keeps_little_after_a_witness():
-    # an inner radix of 2500 asks for the most coordinate masks; the engine
-    # keeps a bounded number of them
+@pytest.mark.parametrize("text", ["abelian:2x2500", "abelian:2x2x1250"])
+def test_lane_engine_keeps_little_after_a_witness(text):
+    # an inner radix of 2500 or 1250 gives the most coordinate rotations, on
+    # the comparison matrix (two factors) and on the bit planes (three): an
+    # engine keeps its steps, its matrix plan and per coordinate one int of
+    # block starts, from which each rotation builds its mask
     perm = list(range(5000))
     random.Random(3).shuffle(perm)
     tracemalloc.start()
     try:
-        engine = length_engine(abelian(2, 2500))
+        engine = length_engine(parse_set_spec(text))
         engine.witness(perm)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
@@ -765,7 +770,7 @@ def test_matrix_route_matches_the_lanes_on_the_tiled_layout_at_the_cap(monkeypat
     matrix = length_engine(spec)
     got = matrix.length_of_indices(perm), matrix.witness(perm), matrix.count_of_indices(perm, 3)
     assert len(matrix._plan()) > 1
-    monkeypatch.setattr(las.GroupLengthEngine, "_bands", las._LaneEngine._bands)
+    monkeypatch.setattr(las.GroupLengthEngine, "_bands", las._LengthEngine._bands)
     lanes = length_engine(spec)
     assert got == (lanes.length_of_indices(perm), lanes.witness(perm),
                    lanes.count_of_indices(perm, 3))
