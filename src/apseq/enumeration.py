@@ -3,9 +3,9 @@ embedded progression length for small sets, and the parity-block structure
 of orderings of Z/2^m Z with no 3-term progression subsequence.
 
 Distributions are tallied in blocks of orderings, not one ordering at a
-time.  A block holds each element's position in up to 5,040 orderings as
-one int with a byte lane per ordering, and bitwise operations along the
-set's lines find the longest monotone run, and so L, in every lane at once.
+time.  A block holds the bit planes of each element's position in up to
+5,040 orderings, a bit per ordering (las.bit_planes), and bitwise operations
+along the set's lines find the longest monotone run, and so L, in each.
 The lines are the walks of las.step_cycles along the steps of
 groups.step_classes, one of each pair {r, -r} that carries 3 or more
 terms: the maximal paths of a box and the cycles of a group.
@@ -33,7 +33,7 @@ from .groups import CYCLIC, AdditiveSetSpec, Frozen
 SERIAL_BUDGET = 10
 PARALLEL_BUDGET = 12
 # A block is the orderings that fix the positions of all but _BLOCK_FREE
-# elements: at most 7! = 5,040 of them, one byte lane each.
+# elements: at most 7! = 5,040 of them, one bit of each plane each.
 _BLOCK_FREE = 7
 
 
@@ -58,18 +58,18 @@ class DistributionTable(Frozen):
         return list(self.counts[1:])
 
 
-@functools.lru_cache(maxsize=16)
-def _lane_ones(lanes: int) -> int:
-    """The int with a 1 at the bottom of each of lanes byte lanes."""
-    return int.from_bytes(b"\x01" * lanes, "little")
-
-
 @functools.lru_cache(maxsize=None)
 def _rank_columns(r: int, start: int) -> tuple[bytes, ...]:
     """The r! permutations of range(start, start + r), in order, as r
     columns: byte i of column j is entry j of permutation i."""
     flat = bytes(itertools.chain.from_iterable(itertools.permutations(range(start, start + r))))
     return tuple(flat[j::r] for j in range(r))
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_planes(lo: int, count: int) -> tuple[list[int], ...]:
+    """The count bit_planes of each column of _rank_columns(_BLOCK_FREE, lo)."""
+    return tuple(las.bit_planes(col, count) for col in _rank_columns(_BLOCK_FREE, lo))
 
 
 def _lines(spec: AdditiveSetSpec) -> list:
@@ -85,26 +85,30 @@ def _lines(spec: AdditiveSetSpec) -> list:
     return sorted(lines, key=lambda item: item[0], reverse=True)
 
 
-def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
-    """Add to counts the longest progression length of lanes orderings of a
-    set of two or more elements at once.
+def _tally_block(lines, planes: list, orderings: int, counts: list[int]) -> None:
+    """Add to counts the longest progression length of a block of orderings
+    of a set of two or more elements at once.
 
-    Byte i of cols[x] is the position of element x in ordering i; positions
-    are below 128, so each lane has a guard bit G = 0x80.  Along a line
-    a, b of _lines, ((b | G) - a) & G sets G in the lanes where b comes
-    after a, and no lane borrows from the next.  ANDing k - 1 consecutive
-    comparisons from term t marks the rising runs of k terms from t, the
-    complements the falling ones; runs start below m, so a group's doubled
-    walk counts each cyclic window once.  reached[k] gathers the lanes with
-    a run of k terms, and the difference of consecutive lane counts is the
-    number of orderings whose longest run has exactly k terms.
+    planes[x][j] holds bit j of element x's position, bit i for ordering i.
+    Along a line a, b of _lines, the bits where b comes after a are decided
+    from the lowest plane up, each plane overriding the lower ones where a
+    and b differ.  ANDing k - 1 consecutive comparisons from term t marks
+    the rising runs of k terms from t, the complements the falling ones;
+    runs start below m, so a group's doubled walk counts each cyclic window
+    once.  reached[k] gathers the orderings with a run of k terms, and the
+    difference of consecutive bit counts is the number of orderings whose
+    longest run has exactly k terms.
     """
-    guard = 0x80 * _lane_ones(lanes)
-    reached = [0, 0, guard]  # every ordering has a 2-term progression
+    every = (1 << orderings) - 1
+    reached = [0, 0, every]  # every ordering has a 2-term progression
     for m, line in lines:
-        terms = [cols[x] for x in line]
-        rising = [((b | guard) - a) & guard for a, b in zip(terms, terms[1:])]
-        for steps in (rising, [c ^ guard for c in rising]):
+        rising = []
+        for a, b in zip(line, line[1:]):
+            later = 0
+            for pa, pb in zip(planes[a], planes[b]):
+                later ^= (later ^ pb) & (pb ^ pa)
+            rising.append(later)
+        for steps in (rising, [c ^ every for c in rising]):
             for t in range(min(m, len(steps))):
                 run = steps[t]
                 k = 2
@@ -117,9 +121,9 @@ def _tally_block(lines, cols: list[int], lanes: int, counts: list[int]) -> None:
                         reached.append(run)
                     else:
                         reached[k] |= run
-    lanes_at = [r.bit_count() for r in reached] + [0]
+    at_least = [r.bit_count() for r in reached] + [0]
     for k in range(2, len(reached)):
-        counts[k] += lanes_at[k] - lanes_at[k + 1]
+        counts[k] += at_least[k] - at_least[k + 1]
 
 
 def _tally_leaves(lines, card: int, leaves) -> list[int]:
@@ -129,31 +133,30 @@ def _tally_leaves(lines, card: int, leaves) -> list[int]:
     the positions lo .. lo + len(free) - 1 in every order.
 
     A leaf of _BLOCK_FREE free elements is a block of its own: a fixed
-    element's column holds its position in every lane, and the free ones
-    are the columns of _rank_columns.  Smaller leaves share blocks, one
-    ordering per row, column x of the rows holding the lanes of element x.
-    Taken largest first, a leaf of f! rows follows a multiple of f! rows,
-    so every shared block but the last fills to 7! lanes.
+    element's planes are all ones or 0, the free ones' are _rank_planes.
+    Smaller leaves share blocks, one ordering per row, and bit_planes reads
+    element x's planes off column x of the rows.  Taken largest first, a
+    leaf of f! rows follows a multiple of f! rows, so every shared block
+    but the last fills to 7! orderings.
     """
-    counts = [0] * (card + 1)
+    counts, count = [0] * (card + 1), (card - 1).bit_length()
     rows = bytearray()
     leaves = sorted(leaves, key=lambda leaf: -len(leaf[1]))
     for n, (where, free, lo) in enumerate(leaves, 1):
-        ranks = _rank_columns(len(free), lo)
         if len(free) == _BLOCK_FREE:
-            ones = _lane_ones(len(ranks[0]))
-            cols = [p * ones for p in where]
-            for x, col in zip(free, ranks):
-                cols[x] = int.from_bytes(col, "little")
-            _tally_block(lines, cols, len(ranks[0]), counts)
+            every = (1 << math.factorial(_BLOCK_FREE)) - 1
+            planes = [[every * (p >> j & 1) for j in range(count)] for p in where]
+            for x, ranks in zip(free, _rank_planes(lo, count)):
+                planes[x] = ranks
+            _tally_block(lines, planes, math.factorial(_BLOCK_FREE), counts)
             continue
         start = len(rows)
         rows += where * math.factorial(len(free))
-        for x, col in zip(free, ranks):
+        for x, col in zip(free, _rank_columns(len(free), lo)):
             rows[start + x :: card] = col
         if len(rows) == card * math.factorial(_BLOCK_FREE) or n == len(leaves):
-            cols = [int.from_bytes(rows[x::card], "little") for x in range(card)]
-            _tally_block(lines, cols, len(rows) // card, counts)
+            planes = [las.bit_planes(rows[x::card], count) for x in range(card)]
+            _tally_block(lines, planes, len(rows) // card, counts)
             rows = bytearray()
     return counts
 
@@ -267,8 +270,9 @@ def distribution(
     One tree (_branches) fixes the positions of all but at most _BLOCK_FREE
     elements, which fill one window of positions in every order, and each
     leaf's orderings are tallied in blocks (_tally_block): one pass of
-    bitwise operations over the set's lines (_lines), built once per call,
-    gives the L of up to 7! orderings at once.  Unreduced enumeration walks
+    bitwise operations on the bit planes of the positions, along the set's
+    lines (_lines), built once per call, gives the L of up to 7! orderings
+    at once.  Unreduced enumeration walks
     the tree under the identity alone.  Symmetry reduction, on every family,
     walks it under the maps that keep L (_symmetries) and reversal, so one
     ordering per orbit is tallied; it is opt-in and is validated against

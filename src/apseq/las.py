@@ -300,6 +300,12 @@ _SWAPS = tuple((shift, mask.to_bytes(8, "little")) for shift, mask in (
 _MASKS_KEPT = 256
 
 
+def bit_planes(data: bytes, count: int) -> list[int]:
+    """Bit j of data[i] at bit i of plane j, for j < count <= 8."""
+    data = data[::-1]  # read as binary digits, the last byte first
+    return [int(data.translate(_BIT_DIGITS[j]) or b"0", 2) for j in range(count)]
+
+
 class _LengthEngine:
     """Set-up, scan loop and witness shared by both length engines.
 
@@ -340,19 +346,6 @@ class _LengthEngine:
                            for step in self._steps_of(v, units)]
         return self._steps
 
-    def _planes(self, pos: Sequence[int]) -> list[int]:
-        """Bit j of pos[x] at bit x of plane j, for j up to the top bit of
-        |A| - 1: the low or high bytes of the 16-bit positions, from the
-        last element on, read as binary digits."""
-        from array import array  # only here: importing it slows every CLI start
-
-        data = array("H", pos).tobytes()
-        high, low = data[::-2], data[-2::-2]
-        if sys.byteorder == "big":
-            high, low = low, high
-        return [int((high if j >= 8 else low).translate(_BIT_DIGITS[j & 7]), 2)
-                for j in range((self.card - 1).bit_length())]
-
     def _ones(self, step: tuple, planes: list[int]) -> int:
         later = 0
         for plane in planes:
@@ -379,8 +372,17 @@ class _LengthEngine:
     def _bands(self, pos: Sequence[int]):
         """(steps, ones_of, source) per band of scan steps, bound falling
         within a band, ones_of(step, source) giving a step's ones: the plane
-        source is one band of every step, compared from the planes of pos."""
-        return [(self._scan_steps(), self._ones, self._planes(pos))]
+        source is one band of every step, compared from the planes of pos,
+        the bit_planes of the 16-bit positions' low, then high bytes."""
+        from array import array  # only here: importing it slows every CLI start
+
+        data = array("H", pos).tobytes()
+        low, high = data[::2], data[1::2]
+        if sys.byteorder == "big":
+            low, high = high, low
+        count = (self.card - 1).bit_length()
+        planes = bit_planes(low, min(count, 8)) + bit_planes(high, count - 8)
+        return [(self._scan_steps(), self._ones, planes)]
 
     def _scan(self, pos: Sequence[int], ties: bool = False) -> tuple:
         """The longest progression length of the ordering with

@@ -114,18 +114,18 @@ def test_symmetry_reduction_matches_golden(text):
 def test_symmetry_reduction_scan_count(text, most, monkeypatch):
     spec = groups.parse_set_spec(text)
     tally = enumeration._tally_block
-    lanes_seen = []
+    tallied = []  # the orderings of each block
 
-    def counted(lines, cols, lanes, counts):
-        lanes_seen.append(lanes)
-        return tally(lines, cols, lanes, counts)
+    def counted(lines, planes, orderings, counts):
+        tallied.append(orderings)
+        return tally(lines, planes, orderings, counts)
 
     monkeypatch.setattr(enumeration, "_tally_block", counted)
     table = distribution(spec, symmetry_reduction=True)
     assert sum(table.row()) == math.factorial(spec.cardinality)
-    assert sum(lanes_seen) <= most
+    assert sum(tallied) <= most
     exact = {"interval:9": 90_816, "cyclic:10": 45_648, "abelian:3x3": 10_176}
-    assert sum(lanes_seen) == exact[text]
+    assert sum(tallied) == exact[text]
 
 
 # Rows of sets outside the golden tables, tallied along lines built
@@ -198,10 +198,12 @@ def _reference_counts(spec, orderings, method):
 # eight one smaller and one of each size below, at the bottom and in the
 # middle, so that 7 of 6! rows fill a shared block and the rest start the
 # next; and one of |A| - 3 free elements in the middle, at most 6! rows.
+# cyclic:5's positions fill three bit planes, the top one set only at
+# position 4; interval:2,2's fill two planes.
 @pytest.mark.parametrize(
     "text",
     ["interval:1", "cyclic:1", "interval:2", "cyclic:2", "interval:3,2", "abelian:2x4",
-     "elementary:3^2", "cyclic:8", "interval:8"],
+     "elementary:3^2", "cyclic:8", "interval:8", "cyclic:5", "interval:2,2"],
 )
 def test_block_tally_matches_per_ordering_lengths(text):
     spec = groups.parse_set_spec(text)
@@ -229,16 +231,17 @@ def test_block_tally_matches_per_ordering_lengths(text):
 
 @pytest.mark.parametrize("text", ["cyclic:12", "interval:12"])
 def test_block_tally_twelve_elements(text):
-    # positions up to 11 in every lane, so each difference meets the guard
-    # bit; the free window is at the top, where the fixed elements' columns
-    # hold the smaller positions
+    # positions up to 11, so the top of the four planes is set in 4 of the
+    # 12 positions; one free window at the top, where the free elements take
+    # them, and one at the bottom, where the fixed elements hold them
     spec = groups.parse_set_spec(text)
-    leaves = [_scrambled_leaf(12, 7, 5, 12)]
-    got = enumeration._tally_leaves(enumeration._lines(spec), 12, leaves)
-    orderings = list(_leaf_orderings(12, leaves))
-    assert sum(got) == len(orderings) == math.factorial(7)
-    assert got == _reference_counts(spec, orderings, "scan")
-    assert got == _reference_counts(spec, orderings, "pairdp")
+    for lo in (5, 0):
+        leaves = [_scrambled_leaf(12, 7, lo, 12)]
+        got = enumeration._tally_leaves(enumeration._lines(spec), 12, leaves)
+        orderings = list(_leaf_orderings(12, leaves))
+        assert sum(got) == len(orderings) == math.factorial(7)
+        assert got == _reference_counts(spec, orderings, "scan"), lo
+        assert got == _reference_counts(spec, orderings, "pairdp"), lo
 
 
 def test_symmetry_reduction_every_family():

@@ -817,6 +817,16 @@ def test_length_engine_metamorphic_past_the_pair_dp_cap(text):
     assert _reverifies(spec, perm, res)
 
 
+# the builder of the length engines' planes and of the block tally's
+@pytest.mark.parametrize("length", [0, 1, 7, 9, 5040])
+def test_bit_planes_match_their_definition(length):
+    data = bytes(random.Random(length).randrange(256) for _ in range(length))
+    for count in range(9):
+        want = [sum((b >> j & 1) << i for i, b in enumerate(data)) for j in range(count)]
+        assert las.bit_planes(data, count) == want
+        assert las.bit_planes(bytearray(data), count) == want
+
+
 def _chains(limit, depth, smallest=2):
     """Divisibility chains of at most depth factors with product <= limit."""
     out = []
